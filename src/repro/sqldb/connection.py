@@ -8,42 +8,44 @@ the single-user engine into one.  The pieces:
   that raises :class:`~repro.errors.LockTimeout` instead of blocking
   forever, and every wait is measured (``sqldb.writer_lock.*`` metrics,
   including a queue-depth gauge).
-* :class:`TableSnapshot` / :class:`SnapshotCatalog` — read-only,
-  visibility-filtered views of the live catalog at one version-clock
-  sequence.  A table untouched since the snapshot is served in *frozen*
-  mode — live heap and live indexes, full index access paths — and the
-  connection validates after the statement that it stayed untouched,
-  retrying once in scan mode if a writer committed mid-read (optimistic
-  snapshot reads).
+* :class:`TableSnapshot` / :class:`SnapshotCatalog` — read-only views of
+  the live catalog at one version-clock sequence ``S``: every access,
+  index lookups included, returns exactly the row versions visible at
+  ``S``, so nothing is validated or re-run afterwards.
 * :class:`Connection` — one session's handle: its own
   :class:`~repro.sqldb.transactions.TransactionManager` (transaction state
   is *per connection*), its own executors (the executor keeps per-statement
   state and is not shareable across threads), and the snapshot read path.
 * :class:`ConnectionPool` — a small fixed pool the servlet container
   checks a connection out of per request, installing it as the calling
-  thread's implicit connection for the request's duration.
+  thread's implicit connection and pinning one snapshot for the request's
+  duration.
 
 Isolation level offered (see docs/CONCURRENCY.md): autocommit reads on a
 ``snapshot_reads`` connection are *read-committed with per-statement
 snapshots* — each statement sees one consistent committed state and never
-blocks on the writer.  Reads inside an explicit transaction see the live
-state (the transaction's own uncommitted writes included).  Connections
-obtained via :meth:`Database.connect` default to snapshot reads; the
-per-thread implicit connection behind ``Database.execute`` reads live,
-preserving exact single-connection semantics.
+blocks on the writer.  Inside a pooled request every statement reads the
+request's pinned snapshot, moved forward only by the connection's own
+commits.  Reads inside an explicit transaction see the live state (the
+transaction's own uncommitted writes included).  Connections obtained via
+:meth:`Database.connect` default to snapshot reads; the per-thread
+implicit connection behind ``Database.execute`` reads live, preserving
+exact single-connection semantics.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Sequence
 
 from repro.errors import LockTimeout, TransactionError
 from repro.obs import get_observability
 from repro.sqldb.executor import Executor
+from repro.sqldb.storage import SortedIndex
 from repro.sqldb.transactions import TransactionManager
 
 __all__ = [
@@ -132,104 +134,101 @@ class TableSnapshot:
     """Read-only view of one :class:`~repro.sqldb.storage.Table` at a
     snapshot sequence, presenting the executor's table interface.
 
-    *Frozen* mode (table unmodified since the snapshot, and not forced to
-    scan): the live heap and live indexes serve the query — zero copying.
-    Correctness relies on post-statement validation by the owning
-    :class:`SnapshotCatalog`.  Otherwise every access goes through the
-    heap's versioned reads and no indexes are offered, so the planner
-    falls back to (visibility-filtered) sequential scans.
+    Every access returns exactly the row versions visible at the snapshot,
+    and every live index is offered.  A lookup takes the live index's
+    candidates, then the rowids with retained history (read second: a
+    writer records history before it moves index entries), resolves each
+    to its visible version, and keeps it only if its key still matches, in
+    the live path's row order.
     """
 
-    def __init__(self, table, snapshot: int, force_scan: bool = False) -> None:
+    def __init__(self, table, snapshot: int) -> None:
         self._table = table
         self.snapshot = snapshot
         self.schema = table.schema
-        self.frozen = not force_scan and table.version_seq <= snapshot
-        self.indexes = dict(table.indexes) if self.frozen else {}
+        self.indexes = dict(table.indexes)
         self._visible: list[tuple[int, tuple]] | None = None
 
-    def _materialised(self) -> list[tuple[int, tuple]]:
+    def _rows(self) -> list[tuple[int, tuple]]:
         if self._visible is None:
-            self._visible = self._table.heap.scan_at(self.snapshot)
+            table = self._table
+            rows = table.heap.scan()
+            # version_seq is read after the copy: if no write past the
+            # snapshot began before or during it, the live rows are exact
+            if table.version_seq > self.snapshot:
+                rows = table.heap.scan_at(self.snapshot)
+            self._visible = rows
         return self._visible
 
     def scan(self):
-        if self.frozen:
-            return self._table.heap.scan()
-        return iter(self._materialised())
-
-    def row(self, rowid: int) -> tuple:
-        return self._table.heap.get_at(rowid, self.snapshot)
-
-    def index_on(self, columns, require_unique: bool = False):
-        if not self.frozen:
-            return None
-        return self._table.index_on(columns, require_unique)
-
-    def index_leading_on(self, column: str):
-        if not self.frozen:
-            return None
-        return self._table.index_leading_on(column)
+        return iter(self._rows())
 
     def __len__(self) -> int:
-        if self.frozen:
-            return len(self._table)
-        return len(self._materialised())
+        return len(self._rows())
+
+    def lookup(self, index, key: tuple) -> list[tuple[int, tuple]]:
+        if any(part is None for part in key):
+            return []  # NULL keys are never indexed
+        if isinstance(index, SortedIndex):
+            index = index.copy()
+        positions = [self.schema.column_index(c) for c in index.columns]
+        project = itemgetter(*positions)
+        want = key if len(positions) > 1 else key[0]
+        return [
+            (rowid, row) for rowid, row in self._versions_at(index.find(key))
+            if project(row) == want
+        ]
+
+    def range_lookup(self, index, low, high, include_low: bool = True,
+                     include_high: bool = True) -> list[tuple[int, tuple]]:
+        bounds = (low, high, include_low, include_high)
+        versions = dict(self._versions_at(index.copy().range_scan(*bounds)))
+        # a private index over the versions re-checks the range and gives
+        # the live path's (key, rowid) order
+        private = SortedIndex(index.name, index.columns)
+        for rowid, row in versions.items():
+            private.add(self.schema.key_of(row, index.columns), rowid)
+        return [(rowid, versions[rowid]) for rowid in private.range_scan(*bounds)]
+
+    def _versions_at(self, live_rowids) -> list[tuple[int, tuple]]:
+        """The versions visible at the snapshot of ``live_rowids`` and of
+        every rowid with retained history, in rowid order."""
+        heap = self._table.heap
+        rowids = set(live_rowids)
+        rowids.update(heap.history_rowids())
+        version_at, snapshot = heap.version_at, self.snapshot
+        out = []
+        for rowid in sorted(rowids):
+            row = version_at(rowid, snapshot)
+            if row is not None:
+                out.append((rowid, row))
+        return out
+
+    def index_leading_on(self, column: str):
+        return self._table.index_leading_on(column)
 
 
 class SnapshotCatalog:
-    """Catalog facade resolving every table to a :class:`TableSnapshot`.
+    """Catalog facade resolving every table to a :class:`TableSnapshot`
+    at :attr:`snapshot`, which the owning connection sets per statement.
 
-    One per connection; :meth:`begin` re-arms it for each snapshot-read
-    statement.  System catalog views are served live and unwrapped — they
-    are synthesised transient tables, outside row versioning.
+    System catalog views are served live and unwrapped — they are
+    synthesised transient tables, outside row versioning.
     """
 
     def __init__(self, catalog) -> None:
         self._catalog = catalog
         self.snapshot = 0
-        self.force_scan = False
-        #: tables handed out in frozen (live-index) mode, checked after
-        #: the statement to detect a writer racing the read
-        self._frozen_tables: list = []
-
-    def begin(self, snapshot: int, force_scan: bool = False) -> None:
-        self.snapshot = snapshot
-        self.force_scan = force_scan
-        self._frozen_tables = []
-
-    def consistent(self) -> bool:
-        """True when no frozen table was mutated past the snapshot."""
-        return all(
-            table.version_seq <= self.snapshot
-            for table in self._frozen_tables
-        )
-
-    # -- the catalog surface the executor consumes -----------------------------
 
     def table(self, name: str):
         table = self._catalog.table(name)
         if self._catalog.is_system_table(name):
             return table
-        snap = TableSnapshot(table, self.snapshot, force_scan=self.force_scan)
-        if snap.frozen:
-            self._frozen_tables.append(table)
-        return snap
+        return TableSnapshot(table, self.snapshot)
 
-    def schema(self, name: str):
-        return self._catalog.schema(name)
-
-    def has_table(self, name: str) -> bool:
-        return self._catalog.has_table(name)
-
-    def is_system_table(self, name: str) -> bool:
-        return self._catalog.is_system_table(name)
-
-    def is_view(self, name: str) -> bool:
-        return self._catalog.is_view(name)
-
-    def view_select(self, name: str):
-        return self._catalog.view_select(name)
+    def __getattr__(self, name: str):
+        # the rest of the catalog surface (schemas, views) is unversioned
+        return getattr(self._catalog, name)
 
 
 class Connection:
@@ -261,6 +260,9 @@ class Connection:
         self.executor = Executor(db.catalog)
         self._snap_catalog = SnapshotCatalog(db.catalog)
         self._snap_executor = Executor(self._snap_catalog)
+        #: the snapshot every autocommit read uses while pinned (for the
+        #: length of one pooled request); None reads a fresh one each time
+        self.pinned_snapshot: int | None = None
         self.closed = False
 
     # -- public API ------------------------------------------------------------
@@ -321,19 +323,30 @@ class Connection:
         db = self._db
         if not self.snapshot_reads or self.txns.active is not None:
             return db._run_read(stmt, params, pushdown, self.executor)
-        with db._snapshot_scope() as snapshot:
-            self._snap_catalog.begin(snapshot)
+        pinned = self.pinned_snapshot
+        scope = db._snapshot_scope() if pinned is None else nullcontext(pinned)
+        with scope as snapshot:
+            self._snap_catalog.snapshot = snapshot
             result = db._run_read(stmt, params, pushdown, self._snap_executor)
-            if self._snap_catalog.consistent():
-                db._observe_snapshot_read(snapshot, retried=False)
-                return result
-            # A writer committed into a table we were reading through live
-            # indexes; the result may mix generations.  Re-run against the
-            # versioned scan path, which is race-free at this snapshot.
-            self._snap_catalog.begin(snapshot, force_scan=True)
-            result = db._run_read(stmt, params, pushdown, self._snap_executor)
-            db._observe_snapshot_read(snapshot, retried=True)
-            return result
+        db._observe_snapshot_read(snapshot)
+        return result
+
+    def _pin(self) -> None:
+        self.pinned_snapshot = self._db._register_snapshot()
+
+    def _unpin(self) -> None:
+        self._db._release_snapshot(self.pinned_snapshot)
+        self.pinned_snapshot = None
+
+    def _commit(self) -> None:
+        """Commit the open transaction; a pinned snapshot moves to the new
+        committed sequence so the connection reads its own writes."""
+        try:
+            self.txns.commit()
+        finally:
+            if self.pinned_snapshot is not None:
+                self._unpin()
+                self._pin()
 
     # -- instrumentation helpers (both executors belong to this connection) ----
 
@@ -377,8 +390,9 @@ class ConnectionPool:
 
     ``scope()`` checks a connection out, installs it as the calling
     thread's implicit connection on the database (so every
-    ``db.execute`` inside the request uses it), and returns it on exit —
-    rolling back any transaction a buggy handler left open.  Checkout
+    ``db.execute`` inside the request uses it), pins one snapshot for the
+    request's reads, and returns the connection on exit — rolling back
+    any transaction a buggy handler left open.  Checkout
     blocks when the pool is exhausted, which doubles as backpressure for
     the threaded server, and raises :class:`~repro.errors.LockTimeout`
     after ``checkout_timeout`` seconds.
@@ -441,11 +455,14 @@ class ConnectionPool:
 
     @contextmanager
     def scope(self):
-        """Per-request scope: checkout + install as thread's connection."""
+        """Per-request scope: checkout, install as the thread's connection
+        and pin one snapshot, so every read of the request sees one state."""
         conn = self.checkout()
         self._db._install_thread_connection(conn)
+        conn._pin()
         try:
             yield conn
         finally:
+            conn._unpin()
             self._db._install_thread_connection(None)
             self.checkin(conn)

@@ -231,28 +231,36 @@ class Database:
 
     # -- snapshot registry --------------------------------------------------------
 
-    @contextmanager
-    def _snapshot_scope(self):
-        """Pin the current committed sequence for one read statement."""
+    def _register_snapshot(self) -> int:
+        """Pin the current committed sequence until :meth:`_release_snapshot`."""
         with self._snapshots_lock:
             snapshot = self.catalog.clock.committed
             self._snapshots[snapshot] = self._snapshots.get(snapshot, 0) + 1
+        return snapshot
+
+    def _release_snapshot(self, snapshot: int) -> None:
+        with self._snapshots_lock:
+            count = self._snapshots.get(snapshot, 1) - 1
+            if count > 0:
+                self._snapshots[snapshot] = count
+            else:
+                self._snapshots.pop(snapshot, None)
+
+    @contextmanager
+    def _snapshot_scope(self):
+        """Pin the current committed sequence for one read statement."""
+        snapshot = self._register_snapshot()
         try:
             yield snapshot
         finally:
-            with self._snapshots_lock:
-                count = self._snapshots.get(snapshot, 1) - 1
-                if count > 0:
-                    self._snapshots[snapshot] = count
-                else:
-                    self._snapshots.pop(snapshot, None)
+            self._release_snapshot(snapshot)
 
     def snapshot_floor(self) -> int | None:
         """Oldest snapshot still being read (None when no reader active)."""
         with self._snapshots_lock:
             return min(self._snapshots) if self._snapshots else None
 
-    def _observe_snapshot_read(self, snapshot: int, retried: bool) -> None:
+    def _observe_snapshot_read(self, snapshot: int) -> None:
         obs = self._obs or get_observability()
         if not obs.enabled:
             return
@@ -260,8 +268,6 @@ class Database:
         obs.metrics.histogram("sqldb.snapshot.age_commits").observe(
             self.catalog.clock.committed - snapshot
         )
-        if retried:
-            obs.metrics.counter("sqldb.snapshot.retries").inc()
 
     # -- configuration -----------------------------------------------------------
 
@@ -413,7 +419,7 @@ class Database:
         if isinstance(stmt, CommitStmt):
             if not conn.txns.in_explicit_transaction:
                 raise TransactionError("COMMIT outside a transaction")
-            conn.txns.commit()
+            conn._commit()
             return Result()
         if isinstance(stmt, RollbackStmt):
             if not conn.txns.in_explicit_transaction:
@@ -463,7 +469,7 @@ class Database:
                 self._hooks.statement_rollback(txn, hook_mark)
             raise
         if owns:
-            conn.txns.commit()
+            conn._commit()
         return result
 
     def _run_read(self, stmt: Statement, params: Sequence[Any],
@@ -509,11 +515,10 @@ class Database:
 
     def _execute_explain_analyze(self, stmt: ExplainStmt,
                                  params: Sequence[Any],
-                                 pushdown: bool = True,
-                                 executor: Executor | None = None) -> Result:
+                                 pushdown: bool,
+                                 executor: Executor) -> Result:
         """EXPLAIN ANALYZE: run the SELECT and annotate every plan step
         with the rows it produced and its measured (cumulative) time."""
-        executor = executor if executor is not None else self._executor
         started = perf_counter()
         result = executor.execute_select(
             stmt.select, params, analyze=True, optimize=pushdown
@@ -696,10 +701,9 @@ class Database:
                         params: Sequence[Any], txn) -> Result:
         table = self._writable_table(stmt.table)
         schema = table.schema
-        targets = self._matching_rowids(conn, table, stmt.where, params)
+        targets = self._matching_rows(conn, table, stmt.where, params)
         count = 0
-        for rowid in targets:
-            old_row = table.row(rowid)
+        for rowid, old_row in targets:
             env = self._row_env(schema, old_row)
             new_row = list(old_row)
             for column_name, expr in stmt.assignments:
@@ -734,10 +738,9 @@ class Database:
                         params: Sequence[Any], txn) -> Result:
         table = self._writable_table(stmt.table)
         schema = table.schema
-        targets = self._matching_rowids(conn, table, stmt.where, params)
+        targets = self._matching_rows(conn, table, stmt.where, params)
         count = 0
-        for rowid in targets:
-            row = table.row(rowid)
+        for rowid, row in targets:
             self._check_foreign_keys_parent_delete(schema, row)
             for column in schema.datalink_columns:
                 value = row[schema.column_index(column.name)]
@@ -750,49 +753,20 @@ class Database:
             count += 1
         return Result(rowcount=count)
 
-    def _matching_rowids(self, conn: Connection, table, where,
-                         params: Sequence[Any]) -> list[int]:
+    def _matching_rows(self, conn: Connection, table, where,
+                       params: Sequence[Any]) -> list[tuple[int, tuple]]:
+        """UPDATE/DELETE targets as ``(rowid, row)``, read through the
+        executor's access path (the one SELECT uses) before any change."""
         schema = table.schema
         if where is not None:
             # UPDATE/DELETE predicates may contain (uncorrelated) subqueries.
             conn.executor.bind_subqueries([where], params)
-        candidates = self._candidate_rowids(table, where, params)
-        out = []
-        for rowid in candidates:
-            row = table.row(rowid)
-            if where is None or truthy(
-                where.evaluate(self._row_env(schema, row), params)
-            ):
-                out.append(rowid)
-        return out
-
-    def _candidate_rowids(self, table, where, params: Sequence[Any]) -> list[int]:
-        """Use an index point-lookup for ``col = constant`` predicates in
-        UPDATE/DELETE, mirroring the SELECT access-path choice."""
-        from repro.sqldb.planner import conjuncts, constant_equalities
-
-        schema = table.schema
-        if where is not None:
-            bound: dict[str, Any] = {}
-            for ref, value in constant_equalities(conjuncts(where), params):
-                if ref.table is not None and ref.table != schema.name:
-                    continue
-                if not schema.has_column(ref.column):
-                    continue
-                try:
-                    bound[ref.column] = schema.column(ref.column).type.validate(value)
-                except Exception:
-                    continue
-            if bound:
-                best = None
-                for index in table.indexes.values():
-                    if all(column in bound for column in index.columns):
-                        if best is None or len(index.columns) > len(best.columns):
-                            best = index
-                if best is not None:
-                    key = tuple(bound[column] for column in best.columns)
-                    return sorted(best.find(key))
-        return [rowid for rowid, _row in table.scan()]
+        return [
+            (rowid, row)
+            for rowid, row in conn.executor.access_path(table, where, params)
+            if where is None
+            or truthy(where.evaluate(self._row_env(schema, row), params))
+        ]
 
     @staticmethod
     def _row_env(schema: TableSchema, row: tuple) -> dict[str, Any]:
@@ -889,14 +863,12 @@ class Database:
     # -- SELECT -----------------------------------------------------------------------
 
     def _execute_union(self, stmt: UnionStmt, params: Sequence[Any],
-                       pushdown: bool = True,
-                       executor: Executor | None = None) -> Result:
+                       pushdown: bool, executor: Executor) -> Result:
         """UNION / UNION ALL over compatible selects.
 
         Column labels come from the first select; every branch must yield
         the same column count.  Plain UNION removes duplicate rows.
         """
-        executor = executor if executor is not None else self._executor
         first = self._select_result(stmt.selects[0], params, pushdown, executor)
         rows = list(first.rows)
         for branch in stmt.selects[1:]:

@@ -515,7 +515,7 @@ class Executor:
 
         first = bound[0]
         base_rows = self._access_path(first, equalities, ranges, plan, optimize)
-        envs: Iterator[dict] = (env_for(first, row) for row in base_rows)
+        envs: Iterator[dict] = (env_for(first, row) for _rowid, row in base_rows)
         if instrument is not None:
             envs = instrument(envs)
         envs = self._pushed_filters(
@@ -570,6 +570,20 @@ class Executor:
             out = instrument(out)
         return out
 
+    def access_path(self, table, where: Expression | None,
+                    params: Sequence[Any]) -> Iterator[tuple[int, tuple]]:
+        """``(rowid, row)`` candidates for ``WHERE where`` on one table —
+        a superset of the matching rows — through the same access-path
+        choice as SELECT.  UPDATE and DELETE pick their targets with it."""
+        where_conjuncts = conjuncts(where)
+        return self._access_path(
+            _BoundTable(table.schema.name, table),
+            constant_equalities(where_conjuncts, params),
+            range_bounds(where_conjuncts, params),
+            plan=[],
+            optimize=True,
+        )
+
     def _access_path(
         self,
         entry: _BoundTable,
@@ -577,9 +591,9 @@ class Executor:
         ranges,
         plan: list[str],
         optimize: bool,
-    ) -> Iterator[tuple]:
+    ) -> Iterator[tuple[int, tuple]]:
         """Choose index point-lookup, range scan or sequential scan for a
-        base table.
+        base table; yields ``(rowid, row)``.
 
         Collects every ``column = constant`` binding on this table, then
         looks for an index whose full key is covered — so composite
@@ -612,9 +626,7 @@ class Executor:
                     f"index lookup {entry.alias} via {best.name} "
                     f"({', '.join(best.columns)} = {key!r})"
                 )
-                rows = [
-                    entry.table.row(rowid) for rowid in best.find_sorted(key)
-                ]
+                rows = entry.table.lookup(best, key)
                 self.rows_scanned += len(rows)
                 return iter(rows)
 
@@ -625,10 +637,10 @@ class Executor:
 
         plan.append(f"seq scan {entry.alias} ({len(entry.table)} rows)")
         self.rows_scanned += len(entry.table)
-        return (row for _rowid, row in entry.table.scan())
+        return entry.table.scan()
 
     def _range_scan(self, entry: _BoundTable, ranges,
-                    plan: list[str]) -> Iterator[tuple] | None:
+                    plan: list[str]) -> Iterator[tuple[int, tuple]] | None:
         """A sorted-index range scan for the first usable range bound."""
         for crange in ranges:
             ref = crange.ref
@@ -656,8 +668,8 @@ class Executor:
                 )
             except Exception:
                 continue  # bound not comparable with the column type
-            rowids = index.range_scan(
-                low, high,
+            rows = entry.table.range_lookup(
+                index, low, high,
                 include_low=crange.include_low,
                 include_high=crange.include_high,
             )
@@ -665,8 +677,8 @@ class Executor:
                 f"range scan {entry.alias} via {index.name} "
                 f"({crange.describe()})"
             )
-            self.rows_scanned += len(rowids)
-            return iter([entry.table.row(rowid) for rowid in rowids])
+            self.rows_scanned += len(rows)
+            return iter(rows)
         return None
 
     @staticmethod
@@ -726,14 +738,9 @@ class Executor:
                 matched = False
                 outer_ref, _inner_ref = key_pair
                 value = outer_ref.evaluate(outer_env, params)
-                candidates = (
-                    [entry.table.row(rowid)
-                     for rowid in index.find_sorted((value,))]
-                    if value is not None
-                    else []
-                )
+                candidates = entry.table.lookup(index, (value,))
                 self.rows_scanned += len(candidates)
-                for row in candidates:
+                for _rowid, row in candidates:
                     inner_env = env_for(entry, row)
                     if inner_filters and not all(
                         truthy(f.evaluate(inner_env, params))
@@ -965,9 +972,3 @@ class _SortPart:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _SortPart) and self.key == other.key
-
-
-def unqualified_is_ambiguous(entry: _BoundTable, column: str) -> bool:
-    """Used by the access-path chooser: a bare column in WHERE can only
-    drive an index on ``entry`` when it belongs to that table."""
-    return not entry.schema.has_column(column)

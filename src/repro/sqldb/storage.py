@@ -26,16 +26,18 @@ writer, a rowid never has more than one version visible at any snapshot.
 History entries whose ``deleted`` is at or below the oldest snapshot still
 registered are pruned at commit (see ``TransactionManager``).
 
-Mutation orders its bookkeeping so that snapshot scans — which run with
-no lock at all, relying on the GIL's atomic dict operations — never
-observe a torn state: history is recorded *before* the live row vanishes,
-and a row's created-sequence is advanced *before* its new image lands.
+Indexes describe the live heap only.  Snapshot reads (``TableSnapshot``)
+take no lock, relying on the GIL's atomic dict and list copies, so
+mutation orders its bookkeeping to keep them exact: ``Table.version_seq``
+rises first, history is recorded before the live row vanishes or its
+index entries move, and a row's created-sequence advances before its new
+image lands.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.errors import CatalogError, TypeMismatchError, UniqueViolation
 
@@ -145,9 +147,9 @@ class Heap:
         except KeyError:
             raise CatalogError(f"no row with rowid {rowid}") from None
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
-        """Yield ``(rowid, row)`` pairs in insertion order."""
-        yield from list(self._rows.items())
+    def scan(self) -> list[tuple[int, tuple]]:
+        """The live ``(rowid, row)`` pairs in insertion order (a copy)."""
+        return list(self._rows.items())
 
     # -- snapshot reads ---------------------------------------------------------
 
@@ -178,14 +180,8 @@ class Heap:
                     break
         return out
 
-    def get_at(self, rowid: int, snapshot: int) -> tuple:
-        """The version of ``rowid`` visible at ``snapshot``.
-
-        Falls back to the live row when no version is visible (an index
-        handed out a rowid the snapshot should not see — only possible
-        when a writer raced the read, which the snapshot-validation layer
-        detects and retries).
-        """
+    def version_at(self, rowid: int, snapshot: int) -> tuple | None:
+        """The version of ``rowid`` visible at ``snapshot``, or None."""
         row = self._rows.get(rowid)
         if row is not None:
             created = self._created.get(rowid)
@@ -194,9 +190,18 @@ class Heap:
         for created, deleted, old in list(self._history.get(rowid, ())):
             if created <= snapshot < deleted:
                 return old
-        if row is not None:
-            return row
-        raise CatalogError(f"no row with rowid {rowid}")
+        return None
+
+    def get_at(self, rowid: int, snapshot: int) -> tuple:
+        """The version of ``rowid`` visible at ``snapshot``."""
+        row = self.version_at(rowid, snapshot)
+        if row is None:
+            raise CatalogError(f"rowid {rowid} has no version at {snapshot}")
+        return row
+
+    def history_rowids(self) -> list[int]:
+        """Rowids with retained superseded versions, copied atomically."""
+        return list(self._history)
 
     def prune_history(self, floor: int) -> int:
         """Drop versions invisible to every snapshot at or above ``floor``.
@@ -316,14 +321,6 @@ class HashIndex:
             return set()
         return set(self._entries.get(self._hashable(key), ()))
 
-    def find_sorted(self, key: tuple) -> list[int]:
-        """Matching rowids in ascending order.
-
-        ``find`` returns an (unordered) set; query execution iterates this
-        sorted form instead, so repeated queries return rows in a stable
-        order regardless of set-iteration salt."""
-        return sorted(self.find(key))
-
     def contains(self, key: tuple) -> bool:
         if any(part is None for part in key):
             return False
@@ -366,20 +363,19 @@ class SortedIndex:
     def find(self, key: tuple) -> set[int]:
         wrapped = _NullsFirstKey(key)
         lo = bisect_left(self._entries, (wrapped, -1))
-        out = set()
-        for entry_key, rowid in self._entries[lo:]:
-            if entry_key == wrapped:
-                out.add(rowid)
-            else:
-                break
-        return out
-
-    def find_sorted(self, key: tuple) -> list[int]:
-        """Matching rowids in ascending order (stable across runs)."""
-        return sorted(self.find(key))
+        hi = bisect_right(self._entries, (wrapped, float("inf")), lo)
+        return {rowid for _key, rowid in self._entries[lo:hi]}
 
     def contains(self, key: tuple) -> bool:
         return bool(self.find(key))
+
+    def copy(self) -> "SortedIndex":
+        """A private copy of the entries.  Binary search calls back into
+        Python for every comparison, so it is not atomic against a writer's
+        ``insort``; lock-free readers search a copy instead."""
+        clone = SortedIndex(self.name, self.columns, self.unique)
+        clone._entries = list(self._entries)
+        return clone
 
     def range_scan(
         self,
@@ -596,11 +592,28 @@ class Table:
 
     # -- access -------------------------------------------------------------------
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
+    def scan(self) -> list[tuple[int, tuple]]:
         return self.heap.scan()
 
     def row(self, rowid: int) -> tuple:
         return self.heap.get(rowid)
+
+    def lookup(self, index, key: tuple) -> list[tuple[int, tuple]]:
+        """``(rowid, row)`` pairs whose ``index`` key equals ``key``, in
+        rowid order (stable across runs, unlike set iteration)."""
+        get = self.heap.get
+        return [(rowid, get(rowid)) for rowid in sorted(index.find(key))]
+
+    def range_lookup(self, index: SortedIndex, low, high,
+                     include_low: bool = True,
+                     include_high: bool = True) -> list[tuple[int, tuple]]:
+        """``(rowid, row)`` pairs whose ``index`` key falls in the range,
+        in (key, rowid) order."""
+        get = self.heap.get
+        return [
+            (rowid, get(rowid))
+            for rowid in index.range_scan(low, high, include_low, include_high)
+        ]
 
     def __len__(self) -> int:
         return len(self.heap)

@@ -107,10 +107,6 @@ class TransactionManager:
     def in_explicit_transaction(self) -> bool:
         return self._current is not None and self._current.explicit
 
-    @property
-    def holds_writer_lock(self) -> bool:
-        return self._writer_held
-
     # -- lifecycle ------------------------------------------------------------
 
     def begin(self, explicit: bool = True) -> Transaction:

@@ -226,10 +226,6 @@ class SqlType:
     def _literal(self, value: Any) -> str:
         return str(value)
 
-    def sort_key(self, value: Any):
-        """Key used for ORDER BY / sorted indexes.  NULLs sort first."""
-        return value
-
     def ddl(self) -> str:
         """The DDL spelling of this type."""
         return self.name
@@ -417,9 +413,6 @@ class BlobType(SqlType):
     def _literal(self, value: Any) -> str:
         return "X'" + value.data.hex() + "'"
 
-    def sort_key(self, value: Any):
-        return value.data
-
 
 class ClobType(SqlType):
     """Character large object stored inside the database."""
@@ -435,9 +428,6 @@ class ClobType(SqlType):
 
     def _literal(self, value: Any) -> str:
         return _escape_sql_string(value.text)
-
-    def sort_key(self, value: Any):
-        return value.text
 
 
 class DatalinkType(SqlType):
@@ -465,9 +455,6 @@ class DatalinkType(SqlType):
 
     def _literal(self, value: Any) -> str:
         return f"DLVALUE({_escape_sql_string(value.url)})"
-
-    def sort_key(self, value: Any):
-        return value.url
 
     def ddl(self) -> str:
         if self.spec is None:

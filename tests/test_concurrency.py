@@ -10,10 +10,13 @@ The invariants under test are the ones docs/CONCURRENCY.md promises:
   order, and recovery replays it cleanly,
 * a crash injected while a writer holds the lock still releases it,
 * the connection pool scopes per-request connections and rolls back
-  abandoned transactions.
+  abandoned transactions,
+* index lookups at a snapshot return exactly the versions visible there,
+  under writer churn, and one pooled request reads one snapshot.
 """
 
 import json
+import random
 import threading
 import time
 import urllib.request
@@ -237,6 +240,145 @@ class TestSnapshotReads:
         )
         writer.execute("ROLLBACK")
         assert sorted(r[0] for r in result.rows) == [100, 100]
+
+
+def _churn_db():
+    """Parent P, child C with an FK index and a sorted index on V."""
+    db = Database()
+    db.execute("CREATE TABLE P (K INTEGER PRIMARY KEY, NAME VARCHAR(20))")
+    db.execute(
+        "CREATE TABLE C (ID INTEGER PRIMARY KEY, "
+        "PK INTEGER REFERENCES P (K), V INTEGER)"
+    )
+    db.execute("CREATE INDEX IX_C_V ON C (V)")
+    for k in range(10):
+        db.execute("INSERT INTO P VALUES (?, ?)", (k, f"p{k}"))
+    for i in range(200):
+        db.execute("INSERT INTO C VALUES (?, ?, ?)", (i, i % 10, i % 50))
+    return db
+
+
+class TestSnapshotIndexLookups:
+    POINT = "SELECT ID, PK, V FROM C WHERE ID = ?"
+    RANGE = "SELECT ID, PK, V FROM C WHERE V BETWEEN ? AND ?"
+    JOIN = "SELECT P.K, C.ID, C.V FROM P JOIN C ON C.PK = P.K WHERE P.K = ?"
+
+    def test_explain_uses_indexes_while_writer_is_open(self):
+        db = _churn_db()
+        reader, writer = db.connect(), db.connect()
+        writer.execute("BEGIN")
+        writer.execute("UPDATE C SET V = 99 WHERE ID = 3")
+
+        def plan(sql, params):
+            rows = reader.execute("EXPLAIN " + sql, params).rows
+            return "\n".join(step for (step,) in rows)
+
+        assert "index lookup C via PK_C" in plan(self.POINT, (3,))
+        assert "range scan C via IX_C_V" in plan(self.RANGE, (1, 5))
+        assert "index nested-loop join C via" in plan(self.JOIN, (3,))
+        # the index paths still read the committed state
+        assert reader.execute(self.POINT, (3,)).rows == [(3, 3, 3)]
+        assert reader.execute("SELECT ID FROM C WHERE V = 99").rows == []
+        assert reader.execute("SELECT ID FROM C WHERE V = 3").rows == [
+            (3,), (53,), (103,), (153,)
+        ]
+        writer.execute("ROLLBACK")
+
+    def test_table_lookups_at_snapshot_recheck_keys(self):
+        from repro.sqldb.connection import TableSnapshot
+
+        db = _churn_db()
+        table = db.catalog.table("C")
+        pk, by_v = table.indexes["PK_C"], table.indexes["IX_C_V"]
+        with db._snapshot_scope() as snapshot:
+            db.execute("UPDATE C SET V = 99 WHERE ID = 3")
+            db.execute("DELETE FROM C WHERE ID = 53")
+            db.execute("INSERT INTO C VALUES (500, 1, 3)")
+            at = TableSnapshot(table, snapshot)
+            assert at.lookup(by_v, (99,)) == []
+            assert [row for _rid, row in at.lookup(by_v, (3,))] == [
+                (3, 3, 3), (53, 3, 3), (103, 3, 3), (153, 3, 3)
+            ]
+            assert at.lookup(pk, (500,)) == []
+            in_range = at.range_lookup(by_v, (2,), (4,), True, False)
+            assert [row[2] for _rid, row in in_range] == [2] * 4 + [3] * 4
+        assert [row for _rid, row in table.lookup(by_v, (99,))] == [(3, 3, 99)]
+
+    def test_lookups_under_writer_churn_match_scan_at(self):
+        """A writer moves indexed keys (UPDATE of V and of the FK column,
+        DELETE, INSERT) while pinned readers run a PK point lookup, a
+        sorted-index range scan and an FK index join; each answer must be
+        the one computed from the heap's versioned scan at the snapshot."""
+        db = _churn_db()
+        heap_c = db.catalog.table("C").heap
+        heap_p = db.catalog.table("P").heap
+        stop = threading.Event()
+        writes = []
+
+        def writer():
+            rng = random.Random(11)
+            conn = db.connect()
+            ids, next_id = list(range(200)), 200
+            while not stop.is_set():
+                op = rng.randrange(4)
+                explicit = rng.random() < 0.3
+                if explicit:
+                    conn.execute("BEGIN")
+                if op == 0:
+                    conn.execute("UPDATE C SET V = ? WHERE ID = ?",
+                                 (rng.randrange(50), rng.choice(ids)))
+                elif op == 1:
+                    conn.execute("UPDATE C SET PK = ? WHERE ID = ?",
+                                 (rng.randrange(10), rng.choice(ids)))
+                elif op == 2 and len(ids) > 100:
+                    victim = ids.pop(rng.randrange(len(ids)))
+                    conn.execute("DELETE FROM C WHERE ID = ?", (victim,))
+                else:
+                    conn.execute("INSERT INTO C VALUES (?, ?, ?)",
+                                 (next_id, rng.randrange(10), rng.randrange(50)))
+                    ids.append(next_id)
+                    next_id += 1
+                if explicit:
+                    conn.execute("COMMIT")
+                writes.append(op)
+
+        pool = ConnectionPool(db, size=1)
+        rng = random.Random(5)
+        mismatches, reads = [], 0
+        thread = threading.Thread(target=writer)
+        thread.start()
+        deadline = time.monotonic() + 1.0
+        try:
+            while time.monotonic() < deadline:
+                point = rng.randrange(250)
+                low = rng.randrange(50)
+                parent = rng.randrange(10)
+                with pool.scope() as conn:
+                    got = (
+                        conn.execute(self.POINT, (point,)).rows,
+                        conn.execute(self.RANGE, (low, low + 4)).rows,
+                        conn.execute(self.JOIN, (parent,)).rows,
+                    )
+                    children = sorted(heap_c.scan_at(conn.pinned_snapshot))
+                    parents = heap_p.scan_at(conn.pinned_snapshot)
+                by_key = sorted(children, key=lambda pair: (pair[1][2], pair[0]))
+                want = (
+                    [row for _rid, row in children if row[0] == point],
+                    [row for _rid, row in by_key if low <= row[2] <= low + 4],
+                    [
+                        (k, row[0], row[2])
+                        for _prid, (k, _name) in parents if k == parent
+                        for _rid, row in children if row[1] == k
+                    ],
+                )
+                reads += 1
+                if got != want:
+                    mismatches.append((got, want))
+        finally:
+            stop.set()
+            thread.join()
+        assert mismatches == []
+        assert reads >= 10 and len(writes) >= 10
 
 
 class TestWriterLock:
@@ -512,6 +654,73 @@ class TestConnectionPool:
         stop.set()
         w.join()
         assert bad == []
+
+
+class TestRequestSnapshot:
+    def test_request_reads_one_snapshot(self):
+        db, _total = _transfer_db()
+        pool = ConnectionPool(db, size=1)
+        other = db.connect()
+        with pool.scope():
+            before = db.execute("SELECT COUNT(*) FROM ACCT").scalar()
+            other.execute("INSERT INTO ACCT VALUES (100, 1)")
+            assert db.execute("SELECT COUNT(*) FROM ACCT").scalar() == before
+            assert db.execute("SELECT V FROM ACCT WHERE K = 100").rows == []
+        with pool.scope():
+            assert db.execute("SELECT COUNT(*) FROM ACCT").scalar() == before + 1
+        assert db.snapshot_floor() is None  # every pin released
+
+    def test_request_reads_its_own_writes(self):
+        db, _total = _transfer_db()
+        pool = ConnectionPool(db, size=1)
+        with pool.scope() as conn:
+            pinned = conn.pinned_snapshot
+            db.execute("INSERT INTO ACCT VALUES (100, 1)")
+            assert db.execute("SELECT V FROM ACCT WHERE K = 100").scalar() == 1
+            assert conn.pinned_snapshot > pinned
+            with db.transaction():
+                db.execute("UPDATE ACCT SET V = 2 WHERE K = 100")
+            assert db.execute("SELECT V FROM ACCT WHERE K = 100").scalar() == 2
+        assert db.snapshot_floor() is None
+
+    def test_search_page_agrees_with_its_footer(self, tmp_path):
+        """A commit lands between /search's COUNT and its page query; both
+        must still read the request's one snapshot."""
+        from repro import EasiaApp, build_turbulence_archive
+
+        archive = build_turbulence_archive(n_simulations=3, timesteps=1, grid=8)
+        db = archive.db
+        app = EasiaApp(db, archive.linker, archive.document, archive.users,
+                       archive.make_engine(str(tmp_path)))
+        app.container.use_connection_pool(ConnectionPool(db, size=2))
+        session = app.login("turbulence", "consortium")
+        other = db.connect()
+        execute, injected = db.execute, []
+
+        def execute_then_commit(sql, params=(), **kwargs):
+            result = execute(sql, params, **kwargs)
+            if sql.startswith("SELECT COUNT(") and not injected:
+                injected.append(sql)
+                other.execute(
+                    "INSERT INTO SIMULATION (SIMULATION_KEY, TITLE) "
+                    "VALUES ('S-LATE', 'committed mid-request')"
+                )
+            return result
+
+        params = {"table": "SIMULATION", "show_TITLE": "on",
+                  "page_size": "2", "page": "2"}
+        db.execute = execute_then_commit
+        try:
+            response = app.get("/search", params, session)
+        finally:
+            del db.execute
+        assert injected and response.status == 200
+        # page 2 of 2 holds what the footer's total leaves after page 1
+        assert "page 2 of 2 (3 rows)" in response.text
+        assert response.text.count("<tr>") - 1 == 3 - 2
+        after = app.get("/search", params, session).text
+        assert "page 2 of 2 (4 rows)" in after
+        assert after.count("<tr>") - 1 == 4 - 2
 
 
 class TestThreadedWebTier:

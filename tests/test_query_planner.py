@@ -194,6 +194,29 @@ class TestRangeScan:
         rows = ranged_db.execute(sql, (20, 80)).rows
         assert rows and all(20 < 2 * k <= 80 for (k,) in rows)
 
+    def test_delete_between_scans_only_the_range(self, ranged_db):
+        conn = ranged_db.connect()
+        before = conn.rows_scanned
+        deleted = conn.execute("DELETE FROM M WHERE G BETWEEN 40 AND 58")
+        assert deleted.rowcount == 10
+        assert conn.rows_scanned - before == 10
+        remaining = ranged_db.execute("SELECT G FROM M WHERE G BETWEEN 30 AND 70")
+        assert sorted(g for (g,) in remaining.rows) == [
+            30, 32, 34, 36, 38, 60, 62, 64, 66, 68, 70
+        ]
+
+    def test_update_picks_targets_like_select(self, ranged_db):
+        conn = ranged_db.connect()
+        before = conn.rows_scanned
+        updated = conn.execute("UPDATE M SET S = 'x' WHERE S LIKE 's001%'")
+        assert updated.rowcount == 10
+        assert conn.rows_scanned - before == 10
+        before = conn.rows_scanned
+        assert conn.execute("UPDATE M SET G = -1 WHERE K = 7").rowcount == 1
+        assert conn.rows_scanned - before == 1
+        assert ranged_db.execute("SELECT COUNT(*) FROM M WHERE S = 'x'").scalar() == 10
+        assert ranged_db.execute("SELECT G FROM M WHERE K = 7").scalar() == -1
+
 
 # -- Top-N and early LIMIT ---------------------------------------------------------
 
