@@ -6,8 +6,9 @@ Usage:
     python scripts/check_bench_regression.py --concurrency BENCH_concurrency.json
     python scripts/check_bench_regression.py --replication BENCH_replication.json
 
-Benchmarks whose name contains one of the guarded keywords (point lookups
-and joins — the planner's hot paths) fail the check when their median
+Benchmarks whose name contains one of the guarded keywords (point lookups,
+joins, the QBE wildcard scan, top-N pagination and the end-to-end web
+search — the query engine's hot paths) fail the check when their median
 exceeds ``max-ratio`` times the baseline median.  Other benchmarks are
 reported but never fail: absolute CI-runner speed varies, so only the
 guarded set is enforced, and only by ratio.
@@ -33,7 +34,9 @@ import json
 import sys
 
 #: benchmarks whose median regressing past the ratio fails the gate
-GUARDED_KEYWORDS = ("lookup", "join")
+GUARDED_KEYWORDS = (
+    "lookup", "join", "wildcard_scan", "topn", "full_web_search",
+)
 
 
 def load_medians(path: str) -> dict[str, float]:

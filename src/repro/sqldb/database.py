@@ -60,7 +60,7 @@ from repro.sqldb.connection import (
     ConnectionPool,
     WriterLock,
 )
-from repro.sqldb.expressions import ColumnRef, truthy
+from repro.sqldb.expressions import ColumnRef, Expression, PositionalBinder
 from repro.sqldb.schema import TableSchema
 from repro.sqldb.storage import HashIndex, SortedIndex
 from repro.sqldb.types import DatalinkValue
@@ -469,7 +469,14 @@ class Database:
                 self._hooks.statement_rollback(txn, hook_mark)
             raise
         if owns:
-            conn._commit()
+            try:
+                conn._commit()
+            except Exception:
+                # the log append failed and left the implicit transaction
+                # open; nobody can ROLLBACK it, so undo the statement here
+                if conn.txns.active is txn:
+                    conn.txns.rollback()
+                raise
         return result
 
     def _run_read(self, stmt: Statement, params: Sequence[Any],
@@ -692,8 +699,8 @@ class Database:
                     self._hooks.on_insert_link(
                         schema.name, column.name, value, column.type.spec, txn
                     )
-            rowid, stored = table.insert(validated)
-            conn.txns.record_insert(txn, schema.name, rowid, stored)
+            rowid = table.insert_valid(validated)
+            conn.txns.record_insert(txn, schema.name, rowid, validated)
             count += 1
         return Result(rowcount=count)
 
@@ -701,14 +708,20 @@ class Database:
                         params: Sequence[Any], txn) -> Result:
         table = self._writable_table(stmt.table)
         schema = table.schema
-        targets = self._matching_rows(conn, table, stmt.where, params)
+        where, assignments = self._dml_closures(stmt, schema)
+        # UPDATE predicates and SET values may contain (uncorrelated)
+        # subqueries.
+        exprs = [expr for _, expr in stmt.assignments]
+        if stmt.where is not None:
+            exprs.insert(0, stmt.where)
+        params = conn.executor.bind_subqueries(exprs, params)
+        targets = self._matching_rows(conn, table, stmt.where, where, params)
         count = 0
         for rowid, old_row in targets:
-            env = self._row_env(schema, old_row)
             new_row = list(old_row)
-            for column_name, expr in stmt.assignments:
+            for column_name, value in assignments:
                 index = schema.column_index(column_name)
-                new_row[index] = expr.evaluate(env, params)
+                new_row[index] = value(old_row, params)
             validated = schema.validate_row(new_row)
             if validated == old_row:
                 count += 1
@@ -729,8 +742,8 @@ class Database:
                     self._hooks.on_insert_link(
                         schema.name, column.name, new_value, column.type.spec, txn
                     )
-            old, new = table.update(rowid, validated)
-            conn.txns.record_update(txn, schema.name, rowid, old, new)
+            table.update_valid(rowid, validated)
+            conn.txns.record_update(txn, schema.name, rowid, old_row, validated)
             count += 1
         return Result(rowcount=count)
 
@@ -738,7 +751,10 @@ class Database:
                         params: Sequence[Any], txn) -> Result:
         table = self._writable_table(stmt.table)
         schema = table.schema
-        targets = self._matching_rows(conn, table, stmt.where, params)
+        where, _ = self._dml_closures(stmt, schema)
+        if stmt.where is not None:
+            params = conn.executor.bind_subqueries([stmt.where], params)
+        targets = self._matching_rows(conn, table, stmt.where, where, params)
         count = 0
         for rowid, row in targets:
             self._check_foreign_keys_parent_delete(schema, row)
@@ -753,28 +769,38 @@ class Database:
             count += 1
         return Result(rowcount=count)
 
-    def _matching_rows(self, conn: Connection, table, where,
-                       params: Sequence[Any]) -> list[tuple[int, tuple]]:
+    def _matching_rows(self, conn: Connection, table, where: Expression | None,
+                       test, params: Sequence[Any]) -> list[tuple[int, tuple]]:
         """UPDATE/DELETE targets as ``(rowid, row)``, read through the
-        executor's access path (the one SELECT uses) before any change."""
-        schema = table.schema
-        if where is not None:
-            # UPDATE/DELETE predicates may contain (uncorrelated) subqueries.
-            conn.executor.bind_subqueries([where], params)
+        executor's access path (the one SELECT uses) before any change;
+        ``test`` is ``where`` compiled by :meth:`_dml_closures`."""
+        if where is None:
+            return list(conn.executor.access_path(table, where, params))
         return [
             (rowid, row)
             for rowid, row in conn.executor.access_path(table, where, params)
-            if where is None
-            or truthy(where.evaluate(self._row_env(schema, row), params))
+            if test(row, params) is True
         ]
 
     @staticmethod
-    def _row_env(schema: TableSchema, row: tuple) -> dict[str, Any]:
-        env: dict[str, Any] = {}
-        for i, name in enumerate(schema.column_names):
-            env[name] = row[i]
-            env[f"{schema.name}.{name}"] = row[i]
-        return env
+    def _dml_closures(stmt: UpdateStmt | DeleteStmt, schema: TableSchema):
+        """The statement's WHERE and SET expressions compiled against the
+        table's stored rows (bare or table-qualified column names).  Kept
+        on the statement and recompiled when the table's columns change."""
+        names = tuple(schema.column_names)
+        cached = stmt.compiled
+        if cached is not None and cached[0] == names:
+            return cached[1], cached[2]
+        offsets = {name: i for i, name in enumerate(names)}
+        offsets.update({f"{schema.name}.{name}": i for i, name in enumerate(names)})
+        binder = PositionalBinder(offsets)
+        where = stmt.where.compile(binder) if stmt.where is not None else None
+        assignments = [
+            (column, expr.compile(binder))
+            for column, expr in getattr(stmt, "assignments", ())
+        ]
+        stmt.compiled = (names, where, assignments)
+        return where, assignments
 
     # -- constraint enforcement ---------------------------------------------------
 
@@ -852,7 +878,13 @@ class Database:
                 )
 
     def _check_checks(self, schema: TableSchema, row: tuple) -> None:
-        env = self._row_env(schema, row)
+        if not schema.checks:
+            return
+        env = dict(zip(schema.column_names, row))
+        env.update(
+            (f"{schema.name}.{name}", value)
+            for name, value in zip(schema.column_names, row)
+        )
         for check in schema.checks:
             value = check.evaluate(env, ())
             if value is False:  # NULL passes, per SQL
@@ -942,6 +974,18 @@ class Database:
         return owners[0] if len(owners) == 1 else None
 
     # -- durability ----------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release the write-ahead log's open file (a later commit reopens
+        it).  A no-op for an in-memory database."""
+        if self._wal is not None:
+            self._wal.close()
+
+    def __enter__(self) -> "Database":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def checkpoint(self) -> None:
         """Serialise the full database state and truncate the WAL.

@@ -1,11 +1,12 @@
 """SELECT execution: scans, index lookups, joins, grouping and ordering.
 
-The executor materialises joined row *environments* (dicts mapping
-``ALIAS.COLUMN`` — plus unambiguous bare column names — to values) and
-evaluates expressions against them.  This keeps evaluation uniform between
-WHERE clauses, join conditions, select items, CHECK constraints and the
-operations layer's XUIS ``<condition>`` elements, which reuse the same
-expression engine.
+Rows stay positional tuples from the heap to the result: a join appends
+the inner row to the outer one, so after ``k`` tables a row is the
+concatenation of their stored tuples.  Every expression of a statement is
+compiled once, against that layout, into a closure over row offsets (see
+:mod:`repro.sqldb.expressions`); the compiled form (:class:`_Pipeline`) is
+kept on the cached statement and reused by every execution until a FROM
+table's columns change.
 
 Planning is cost-aware where it matters for the EASIA workloads:
 
@@ -25,30 +26,33 @@ Every operator announces itself in the ``plan`` list (EXPLAIN) and counts
 rows through :class:`_StepStats` under EXPLAIN ANALYZE.  Passing
 ``optimize=False`` (the ``pushdown=off`` escape hatch on
 ``Database.execute``) disables all of the above and runs the naive
-nested-loop / filter-at-the-end path, which the differential tests compare
-against.
+nested-loop / filter-at-the-end path over the same compiled expressions,
+which the differential tests compare against.
 """
 
 from __future__ import annotations
 
-from heapq import nsmallest
+from heapq import nlargest, nsmallest
 from itertools import islice
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import CatalogError, SqlSyntaxError
 from repro.sqldb.expressions import (
     AggregateCall,
+    Bindings,
     ColumnRef,
+    Compiled,
     ExistsSubquery,
     Expression,
     InSubquery,
+    PositionalBinder,
     Star,
     Subquery,
     hash_key,
-    truthy,
 )
-from repro.sqldb.parser.ast_nodes import Join, SelectItem, SelectStmt, TableRef
+from repro.sqldb.parser.ast_nodes import SelectItem, SelectStmt, TableRef
 from repro.sqldb.planner import (
     assign_filters,
     conjuncts,
@@ -61,6 +65,8 @@ from repro.sqldb.planner import (
 from repro.sqldb.storage import SortedIndex, _NullsFirstKey
 
 __all__ = ["Executor", "SelectResult"]
+
+_second = itemgetter(1)
 
 
 class SelectResult:
@@ -132,6 +138,258 @@ class _BoundTable:
         self.join_on = join_on
 
 
+def _conjunction(predicates: list[Compiled]) -> Compiled | None:
+    """One closure that is True only when every predicate is True."""
+    if not predicates:
+        return None
+    if len(predicates) == 1:
+        return predicates[0]
+
+    def all_true(row, params):
+        for predicate in predicates:
+            if predicate(row, params) is not True:
+                return False
+        return True
+
+    return all_true
+
+
+def _table_offsets(entry: _BoundTable, unambiguous: dict[str, str],
+                   base: int = 0) -> dict[str, int]:
+    """``ALIAS.COLUMN`` (and each bare name ``entry`` owns unambiguously)
+    -> position, for ``entry``'s columns starting at ``base``."""
+    offsets: dict[str, int] = {}
+    for i, name in enumerate(entry.schema.column_names):
+        offsets[f"{entry.alias}.{name}"] = base + i
+        if unambiguous.get(name) == entry.alias:
+            offsets[name] = base + i
+    return offsets
+
+
+class _Filter:
+    """Pushed-down WHERE conjuncts: the expressions (for EXPLAIN) and
+    their compiled conjunction."""
+
+    __slots__ = ("exprs", "test")
+
+    def __init__(self, exprs: list[Expression], binder) -> None:
+        self.exprs = exprs
+        self.test = _conjunction([e.compile(binder) for e in exprs])
+
+
+class _JoinStep:
+    """One joined table's compiled pieces.  The outer side is read with
+    the binder of the tables before it, the inner side with a binder of
+    this table alone, the join condition with both."""
+
+    __slots__ = ("keys", "outer_keys", "inner_keys", "on", "inner", "after",
+                 "nulls")
+
+    def __init__(self, entry: _BoundTable, outer, inner, joined,
+                 filters: list[Expression], split: bool,
+                 unambiguous: dict[str, str]) -> None:
+        self.keys = (
+            join_equalities(entry.join_on, entry.alias) if entry.join_on else []
+        )
+        self.outer_keys = [ref.compile(outer) for ref, _ in self.keys]
+        self.inner_keys = [ref.compile(inner) for _, ref in self.keys]
+        self.on = entry.join_on.compile(joined) if entry.join_on else None
+        inner_only: list[Expression] = []
+        if split:
+            inner_only, filters = single_alias_filters(
+                filters, entry.alias, unambiguous
+            )
+        self.inner = _Filter(inner_only, inner)
+        self.after = _Filter(filters, joined)
+        #: the inner side of an unmatched LEFT JOIN row
+        self.nulls = (None,) * len(entry.schema.columns)
+
+
+class _EmptyGroupRow:
+    """The single group of an aggregate query over no rows: aggregate
+    values are readable, source columns are not (there is no row)."""
+
+    __slots__ = ("names", "values")
+
+    def __init__(self, names: list[str], values: tuple) -> None:
+        self.names = names
+        self.values = values
+
+    def __getitem__(self, offset: int) -> Any:
+        if offset < len(self.names):
+            raise CatalogError(f"unknown column {self.names[offset]}")
+        return self.values[offset - len(self.names)]
+
+
+class _Pipeline:
+    """One SELECT compiled against the column layout of its FROM tables.
+
+    Holds the planner's syntactic decisions (filter placement, join keys,
+    select-list expansion) and every expression as a closure over row
+    offsets.  Nothing here depends on parameters, rows or the calling
+    thread, so one instance serves every execution of a cached statement
+    — on any thread — while :attr:`layout` still matches.
+    """
+
+    def __init__(self, stmt: SelectStmt, bound: list[_BoundTable],
+                 layout: tuple, optimize: bool) -> None:
+        self.layout = layout
+        self.conjuncts = conjuncts(stmt.where)
+        unambiguous = _unambiguous_columns(bound)
+
+        # One binder per pipeline position: after table k joins, a row
+        # holds tables 0..k and only their columns resolve.
+        binders: list[PositionalBinder] = []
+        offsets: dict[str, int] = {}
+        names: list[str] = []
+        for entry in bound:
+            offsets.update(_table_offsets(entry, unambiguous, len(names)))
+            names.extend(f"{entry.alias}.{n}" for n in entry.schema.column_names)
+            binders.append(PositionalBinder(offsets))
+        source = binders[-1] if binders else PositionalBinder({})
+
+        if bound and optimize:
+            stage_filters, residual = assign_filters(
+                self.conjuncts, [b.alias for b in bound], unambiguous
+            )
+        else:
+            stage_filters = [[] for _ in bound]
+            residual = self.conjuncts
+        self.scan_filter = _Filter(stage_filters[0], binders[0]) if bound else None
+        self.joins: list[_JoinStep | None] = [None]
+        for position, entry in enumerate(bound[1:], start=1):
+            kind = entry.join_kind or "CROSS"
+            self.joins.append(_JoinStep(
+                entry,
+                outer=binders[position - 1],
+                inner=PositionalBinder(_table_offsets(entry, unambiguous)),
+                joined=binders[position],
+                filters=stage_filters[position],
+                split=optimize and kind != "LEFT",
+                unambiguous=unambiguous,
+            ))
+        self.residual = _conjunction([p.compile(source) for p in residual])
+
+        self.items = _expand_items(stmt, bound)
+        self.columns = [_item_label(item, i) for i, item in enumerate(self.items)]
+        self.grouped = bool(stmt.group_by) or any(
+            item.expr is not None and item.expr.contains_aggregate()
+            for item in self.items
+        ) or (stmt.having is not None and stmt.having.contains_aggregate())
+        if not self.grouped and stmt.having is not None:
+            raise SqlSyntaxError("HAVING requires GROUP BY or aggregates")
+        alias_exprs = {
+            item.alias: item.expr for item in self.items if item.alias
+        }
+
+        def resolve_alias(expr: Expression) -> Expression:
+            # GROUP BY and ORDER BY may name a select-list alias
+            # (ORDER BY n for "COUNT(*) AS n").
+            if (
+                isinstance(expr, ColumnRef)
+                and expr.table is None
+                and expr.column in alias_exprs
+            ):
+                return alias_exprs[expr.column]
+            return expr
+
+        #: bare ``SELECT COUNT(*) FROM ... [WHERE ...]``: count, build nothing
+        self.count_only = (
+            self.grouped
+            and not stmt.group_by
+            and stmt.having is None
+            and not stmt.order_by
+            and len(self.items) == 1
+            and isinstance(self.items[0].expr, AggregateCall)
+            and self.items[0].expr.name == "COUNT"
+            and isinstance(self.items[0].expr.arg, Star)
+            and not self.items[0].expr.distinct
+        )
+        self.source_names = names
+        self.aggregates: list[tuple[AggregateCall, Compiled | None]] = []
+        self.group_keys: list[Compiled] = []
+        self.having: Compiled | None = None
+        if self.count_only:
+            output = PositionalBinder({self.items[0].expr.key: 0})
+        elif self.grouped:
+            unique: dict[str, AggregateCall] = {}
+            for expr in [item.expr for item in self.items] + [stmt.having]:
+                for node in expr.walk() if expr is not None else ():
+                    if isinstance(node, AggregateCall):
+                        unique.setdefault(node.key, node)
+            self.aggregates = [
+                (agg, None if isinstance(agg.arg, Star) else agg.arg.compile(source))
+                for agg in unique.values()
+            ]
+            self.group_keys = [
+                resolve_alias(expr).compile(source) for expr in stmt.group_by
+            ]
+            # a grouped row is the group's first source row followed by
+            # the aggregate values
+            grouped_offsets = dict(source.offsets)
+            for i, key in enumerate(unique):
+                grouped_offsets[key] = len(names) + i
+            output = PositionalBinder(grouped_offsets)
+            if stmt.having is not None:
+                self.having = stmt.having.compile(output)
+        else:
+            output = source
+        self.project = [item.expr.compile(output) for item in self.items]
+        self.order = [
+            resolve_alias(order.expr).compile(output) for order in stmt.order_by
+        ]
+        self.ascending = [order.ascending for order in stmt.order_by]
+
+    def projector(self, params: Sequence[Any]) -> Callable[[Any], tuple]:
+        """``row -> output tuple`` for one execution."""
+        project = self.project
+        return lambda row: tuple([fn(row, params) for fn in project])
+
+
+def _unambiguous_columns(bound: list[_BoundTable]) -> dict[str, str]:
+    """Map bare column name -> owning alias when unique across tables."""
+    counts: dict[str, list[str]] = {}
+    for entry in bound:
+        for name in entry.schema.column_names:
+            counts.setdefault(name, []).append(entry.alias)
+    return {
+        name: aliases[0]
+        for name, aliases in counts.items()
+        if len(aliases) == 1
+    }
+
+
+def _expand_items(stmt: SelectStmt, bound: list[_BoundTable]) -> list[SelectItem]:
+    items: list[SelectItem] = []
+    for item in stmt.items:
+        if not item.is_star:
+            items.append(item)
+            continue
+        targets = bound
+        if item.star_table is not None:
+            targets = [b for b in bound if b.alias == item.star_table]
+            if not targets:
+                raise CatalogError(f"unknown table {item.star_table} in select list")
+        if not targets:
+            raise SqlSyntaxError("'*' requires a FROM clause")
+        for entry in targets:
+            for name in entry.schema.column_names:
+                items.append(
+                    SelectItem(ColumnRef(name, table=entry.alias), alias=name)
+                )
+    return items
+
+
+def _item_label(item: SelectItem, position: int) -> str:
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ColumnRef):
+        return item.expr.column
+    if isinstance(item.expr, AggregateCall):
+        return item.expr.name
+    return f"EXPR{position + 1}"
+
+
 class Executor:
     def __init__(self, catalog) -> None:
         self._catalog = catalog
@@ -180,132 +438,110 @@ class Executor:
     ) -> SelectResult:
         plan: list[str] = []
         step_stats: dict[int, _StepStats] | None = None
-        instrument: Callable[[Iterator[dict]], Iterator[dict]] | None = None
+        instrument: Callable[[Iterator], Iterator] | None = None
         if analyze:
             step_stats = {}
 
-            def instrument(envs: Iterator[dict]) -> Iterator[dict]:
+            def instrument(rows: Iterator) -> Iterator:
                 """Attach a timing probe to the plan entry appended last."""
                 stats = _StepStats()
                 step_stats[len(plan) - 1] = stats
-                return _timed_iter(envs, stats)
+                return _timed_iter(rows, stats)
 
-        self.bind_subqueries(
+        params = self.bind_subqueries(
             self._statement_expressions(stmt), params,
             plan=plan if optimize else None,
         )
         bound = self._bind_tables(stmt)
+        pipeline = self._pipeline(stmt, bound, optimize)
 
-        where_conjuncts = conjuncts(stmt.where)
         if bound:
-            unambiguous = self._unambiguous_columns(bound)
-            if optimize:
-                stage_filters, residual = assign_filters(
-                    where_conjuncts, [b.alias for b in bound], unambiguous
-                )
-            else:
-                stage_filters = [[] for _ in bound]
-                residual = where_conjuncts
-            envs = self._produce_envs(
-                stmt, bound, unambiguous, params, plan, instrument,
-                optimize, stage_filters,
+            rows = self._produce_rows(
+                pipeline, bound, params, plan, instrument, optimize
             )
         else:
-            # SELECT without FROM: a single empty environment.
-            envs = iter([{}])
-            residual = where_conjuncts
+            # SELECT without FROM: a single empty row.
+            rows = iter([()])
             plan.append("no FROM clause: single empty row")
             if instrument is not None:
-                envs = instrument(envs)
+                rows = instrument(rows)
 
-        if residual:
-            envs = (
-                env for env in envs
-                if all(truthy(p.evaluate(env, params)) for p in residual)
-            )
+        residual = pipeline.residual
+        if residual is not None:
+            rows = (row for row in rows if residual(row, params) is True)
 
-        items = self._expand_items(stmt, bound)
-        grouped = bool(stmt.group_by) or any(
-            item.expr is not None and item.expr.contains_aggregate()
-            for item in items
-        ) or (stmt.having is not None and stmt.having.contains_aggregate())
-
-        if grouped:
-            # GROUP BY may name a select-list alias, like ORDER BY.
-            alias_exprs = {
-                item.alias: item.expr for item in items if item.alias
-            }
-            group_exprs = []
-            for expr in stmt.group_by:
-                if (
-                    isinstance(expr, ColumnRef)
-                    and expr.table is None
-                    and expr.column in alias_exprs
-                ):
-                    expr = alias_exprs[expr.column]
-                group_exprs.append(expr)
-            envs = self._group(stmt, items, envs, params, group_exprs)
+        if pipeline.grouped:
+            if pipeline.count_only:
+                rows = iter([(sum(1 for _ in rows),)])
+            else:
+                rows = self._group(pipeline, rows, params)
             plan.append(
                 f"hash aggregate on {len(stmt.group_by)} grouping expression(s)"
             )
             if instrument is not None:
-                envs = instrument(envs)
-        elif stmt.having is not None:
-            raise SqlSyntaxError("HAVING requires GROUP BY or aggregates")
+                rows = instrument(rows)
 
-        columns = [self._item_label(item, i) for i, item in enumerate(items)]
-        evaluated: Iterator[tuple[dict, tuple]] = (
-            (env, tuple(item.expr.evaluate(env, params) for item in items))
-            for env in envs
-        )
-
+        project = pipeline.projector(params)
         if stmt.distinct:
+            # pairs of (source row, output row) from here on
             plan.append("distinct (hash)")
-            evaluated = self._distinct(evaluated)
+            rows = self._distinct(rows, project)
             if instrument is not None:
-                evaluated = _timed_iter(evaluated, self._stats_slot(step_stats, plan))
+                rows = _timed_iter(rows, self._stats_slot(step_stats, plan))
+            project = _second
 
         offset = stmt.offset or 0
         if stmt.order_by:
-            order_key = self._order_key(stmt, items, params)
+            top = None
             if optimize and stmt.limit is not None:
                 top = stmt.limit + offset
                 plan.append(
                     f"top-N sort (N={top}) on "
                     f"{len(stmt.order_by)} key(s)"
                 )
-                started = perf_counter()
-                output = nsmallest(top, evaluated, key=order_key)
-                self._record_step(step_stats, plan, len(output),
-                                  perf_counter() - started)
             else:
                 plan.append(f"sort on {len(stmt.order_by)} key(s)")
-                started = perf_counter()
-                output = sorted(evaluated, key=order_key)
-                self._record_step(step_stats, plan, len(output),
-                                  perf_counter() - started)
-            rows = [row for _env, row in output]
-            rows = rows[offset:]
+            started = perf_counter()
+            ordered = self._sort(pipeline, list(rows), params, top,
+                                 stmt.distinct)
+            self._record_step(step_stats, plan, len(ordered),
+                              perf_counter() - started)
+            ordered = ordered[offset:]
             if stmt.limit is not None:
-                rows = rows[: stmt.limit]
+                ordered = ordered[: stmt.limit]
+            out = [project(row) for row in ordered]
         elif optimize and stmt.limit is not None:
             plan.append(f"limit {stmt.limit} (early stop)")
-            rows = [
-                row for _env, row in islice(
-                    evaluated, offset, offset + stmt.limit
-                )
+            out = [
+                project(row)
+                for row in islice(rows, offset, offset + stmt.limit)
             ]
-            self._record_step(step_stats, plan, len(rows), 0.0)
+            self._record_step(step_stats, plan, len(out), 0.0)
         else:
-            rows = [row for _env, row in evaluated]
-            rows = rows[offset:]
+            out = [project(row) for row in rows]
+            out = out[offset:]
             if stmt.limit is not None:
-                rows = rows[: stmt.limit]
+                out = out[: stmt.limit]
 
         alias_tables = {b.alias: b.schema.name for b in bound}
         return SelectResult(
-            columns, rows, plan, items, alias_tables, step_stats=step_stats
+            pipeline.columns, out, plan, pipeline.items, alias_tables,
+            step_stats=step_stats,
         )
+
+    @staticmethod
+    def _pipeline(stmt: SelectStmt, bound: list[_BoundTable],
+                  optimize: bool) -> _Pipeline:
+        """The statement's compiled pipeline for the current column
+        layout, compiled on first use and again after ALTER TABLE."""
+        layout = tuple(
+            (entry.alias, tuple(entry.schema.column_names)) for entry in bound
+        )
+        pipeline = stmt.pipelines.get(optimize)
+        if pipeline is None or pipeline.layout != layout:
+            pipeline = _Pipeline(stmt, bound, layout, optimize)
+            stmt.pipelines[optimize] = pipeline
+        return pipeline
 
     # -- result-shaping helpers -------------------------------------------------
 
@@ -327,45 +563,60 @@ class Executor:
         step_stats[len(plan) - 1] = stats
 
     @staticmethod
-    def _distinct(
-        evaluated: Iterator[tuple[dict, tuple]]
-    ) -> Iterator[tuple[dict, tuple]]:
-        """Set-based DISTINCT over hashable NULLs-first keys (O(n), not the
-        quadratic list-membership scan)."""
+    def _distinct(rows: Iterator, project) -> Iterator[tuple[Any, tuple]]:
+        """``(row, project(row))`` for the rows whose output is new: a set
+        over hashable NULLs-first keys (O(n), not the quadratic
+        list-membership scan)."""
         seen: set[tuple] = set()
-        for env, row in evaluated:
-            key = tuple(_NullsFirstKey((v,)) for v in row)
+        for row in rows:
+            out = project(row)
+            key = tuple(_NullsFirstKey((v,)) for v in out)
             if key not in seen:
                 seen.add(key)
-                yield env, row
+                yield row, out
 
-    def _order_key(self, stmt: SelectStmt, items: list[SelectItem],
-                   params: Sequence[Any]):
-        # ORDER BY may name a select-list alias (ORDER BY n for
-        # "COUNT(*) AS n"); resolve those to the aliased expression.
-        alias_exprs = {item.alias: item.expr for item in items if item.alias}
-        order_exprs = []
-        for order in stmt.order_by:
-            expr = order.expr
-            if (
-                isinstance(expr, ColumnRef)
-                and expr.table is None
-                and expr.column in alias_exprs
-            ):
-                expr = alias_exprs[expr.column]
-            order_exprs.append((expr, order.ascending))
-
-        def order_key(pair):
-            env, _row = pair
-            return tuple(
-                _SortPart(
-                    _NullsFirstKey((expr.evaluate(env, params),)),
-                    ascending,
+    @staticmethod
+    def _sort(pipeline: _Pipeline, rows: list, params: Sequence[Any],
+              top: int | None, pairs: bool) -> list:
+        """``rows`` in ORDER BY order (the first ``top`` of them when
+        ``top`` is set), stable.  Each row's key is computed once."""
+        order, ascending = pipeline.order, pipeline.ascending
+        sources = [row for row, _out in rows] if pairs else rows
+        if len(order) == 1:
+            only = order[0]
+            values = [(only(row, params),) for row in sources]
+        else:
+            values = [tuple([fn(row, params) for fn in order]) for row in sources]
+        positions = range(len(rows))
+        descending = not any(ascending)
+        picked = None
+        if descending or all(ascending):
+            # one direction: plain keys, the whole order reversed for DESC
+            keys = _ranked_keys(values)
+            try:
+                if top is None:
+                    picked = sorted(positions, key=keys.__getitem__,
+                                    reverse=descending)
+                else:
+                    pick = nlargest if descending else nsmallest
+                    picked = pick(top, positions, key=keys.__getitem__)
+            except TypeError:
+                pass  # incomparable types: the general order below
+        if picked is None:
+            # mixed directions, or values of incomparable types (ordered
+            # by their string forms, as the index keys are)
+            keys = [
+                tuple(
+                    _SortPart(_NullsFirstKey((value,)), asc)
+                    for value, asc in zip(row_values, ascending)
                 )
-                for expr, ascending in order_exprs
-            )
-
-        return order_key
+                for row_values in values
+            ]
+            if top is None:
+                picked = sorted(positions, key=keys.__getitem__)
+            else:
+                picked = nsmallest(top, positions, key=keys.__getitem__)
+        return [rows[i] for i in picked]
 
     # -- subquery materialisation ---------------------------------------------
 
@@ -389,19 +640,22 @@ class Executor:
     def bind_subqueries(
         self, exprs: list[Expression], params: Sequence[Any],
         plan: list[str] | None = None,
-    ) -> None:
-        """Materialise every (uncorrelated) subquery once per execution.
+    ) -> Sequence[Any]:
+        """Materialise every (uncorrelated) subquery once per execution;
+        returns the parameters to evaluate ``exprs`` with (``params``
+        itself, or :class:`Bindings` carrying the results).
 
         Nested subqueries are handled by the recursive execute_select call;
         a correlated subquery surfaces as an unknown-column error from its
         standalone execution.  When a ``plan`` list is supplied, IN/EXISTS
         materialisations announce themselves (the hashed semi-join path).
         """
+        subqueries: dict[Expression, Any] = {}
         for expr in exprs:
             for node in expr.walk():
                 if isinstance(node, (Subquery, InSubquery, ExistsSubquery)):
                     result = self.execute_select(node.select, params)
-                    node.bind(result.rows)
+                    subqueries[node] = node.materialise(result.rows)
                     if plan is None:
                         continue
                     if isinstance(node, InSubquery):
@@ -414,6 +668,7 @@ class Executor:
                             f"semi-join: EXISTS (subquery), "
                             f"{len(result.rows)} row(s)"
                         )
+        return Bindings(params, subqueries) if subqueries else params
 
     # -- binding ------------------------------------------------------------------
 
@@ -474,98 +729,71 @@ class Executor:
         self._view_cache[name] = table
         return table
 
-    @staticmethod
-    def _unambiguous_columns(bound: list[_BoundTable]) -> dict[str, str]:
-        """Map bare column name -> owning alias when unique across tables."""
-        counts: dict[str, list[str]] = {}
-        for entry in bound:
-            for name in entry.schema.column_names:
-                counts.setdefault(name, []).append(entry.alias)
-        return {
-            name: aliases[0]
-            for name, aliases in counts.items()
-            if len(aliases) == 1
-        }
-
     # -- row production --------------------------------------------------------------
 
-    def _produce_envs(
+    def _produce_rows(
         self,
-        stmt: SelectStmt,
+        pipeline: _Pipeline,
         bound: list[_BoundTable],
-        unambiguous: dict[str, str],
         params: Sequence[Any],
         plan: list[str],
-        instrument: Callable[[Iterator[dict]], Iterator[dict]] | None,
+        instrument: Callable[[Iterator], Iterator] | None,
         optimize: bool,
-        stage_filters: list[list[Expression]],
-    ) -> Iterator[dict]:
-        where_conjuncts = conjuncts(stmt.where)
-        equalities = constant_equalities(where_conjuncts, params)
-        ranges = range_bounds(where_conjuncts, params) if optimize else []
-
-        def env_for(entry: _BoundTable, row: tuple | None) -> dict:
-            env: dict[str, Any] = {}
-            for i, name in enumerate(entry.schema.column_names):
-                value = None if row is None else row[i]
-                env[f"{entry.alias}.{name}"] = value
-                if unambiguous.get(name) == entry.alias:
-                    env[name] = value
-            return env
+    ) -> Iterator[tuple]:
+        equalities = constant_equalities(pipeline.conjuncts, params)
+        ranges = range_bounds(pipeline.conjuncts, params) if optimize else []
 
         first = bound[0]
-        base_rows = self._access_path(first, equalities, ranges, plan, optimize)
-        envs: Iterator[dict] = (env_for(first, row) for _rowid, row in base_rows)
+        rows: Iterator[tuple] = map(
+            _second, self._access_path(first, equalities, ranges, plan, optimize)
+        )
         if instrument is not None:
-            envs = instrument(envs)
-        envs = self._pushed_filters(
-            envs, stage_filters[0], first.alias, params, plan, instrument
+            rows = instrument(rows)
+        rows = self._pushed_filters(
+            rows, pipeline.scan_filter, first.alias, params, plan, instrument
         )
 
         for position, entry in enumerate(bound[1:], start=1):
-            filters = stage_filters[position]
-            inner_only: list[Expression] = []
-            kind = entry.join_kind or "CROSS"
-            if optimize and filters and kind != "LEFT":
-                inner_only, filters = single_alias_filters(
-                    filters, entry.alias, unambiguous
-                )
-            envs = self._join_one(
-                entry, envs, env_for, params, plan, optimize, inner_only
-            )
+            step = pipeline.joins[position]
+            rows = self._join_one(entry, step, rows, params, plan, optimize)
             if instrument is not None:
-                envs = instrument(envs)
-            envs = self._pushed_filters(
-                envs, filters, entry.alias, params, plan, instrument
+                rows = instrument(rows)
+            rows = self._pushed_filters(
+                rows, step.after, entry.alias, params, plan, instrument
             )
-        return envs
+        return rows
 
     def _pushed_filters(
         self,
-        envs: Iterator[dict],
-        filters: list[Expression],
+        rows: Iterator[tuple],
+        pushed: _Filter,
         alias: str,
         params: Sequence[Any],
         plan: list[str],
-        instrument: Callable[[Iterator[dict]], Iterator[dict]] | None,
-    ) -> Iterator[dict]:
+        instrument: Callable[[Iterator], Iterator] | None,
+    ) -> Iterator[tuple]:
         """Apply pushed-down WHERE conjuncts right after ``alias`` joins the
         pipeline, counting removed rows for the obs layer."""
-        if not filters:
-            return envs
+        test = pushed.test
+        if test is None:
+            return rows
         plan.append(
             f"filter pushdown at {alias}: "
-            + " AND ".join(describe(f) for f in filters)
+            + " AND ".join(describe(f) for f in pushed.exprs)
         )
 
-        def generate() -> Iterator[dict]:
-            for env in envs:
-                if all(truthy(f.evaluate(env, params)) for f in filters):
-                    yield env
-                else:
-                    self.pushdown_filtered += 1
+        def generate() -> Iterator[tuple]:
+            removed = 0
+            try:
+                for row in rows:
+                    if test(row, params) is True:
+                        yield row
+                    else:
+                        removed += 1
+            finally:
+                self.pushdown_filtered += removed
 
-        out: Iterator[dict] = generate()
+        out: Iterator[tuple] = generate()
         if instrument is not None:
             out = instrument(out)
         return out
@@ -637,7 +865,7 @@ class Executor:
 
         plan.append(f"seq scan {entry.alias} ({len(entry.table)} rows)")
         self.rows_scanned += len(entry.table)
-        return entry.table.scan()
+        return iter(entry.table.scan())
 
     def _range_scan(self, entry: _BoundTable, ranges,
                     plan: list[str]) -> Iterator[tuple[int, tuple]] | None:
@@ -695,264 +923,200 @@ class Executor:
     def _join_one(
         self,
         entry: _BoundTable,
-        outer_envs: Iterator[dict],
-        env_for,
+        step: _JoinStep,
+        outer_rows: Iterator[tuple],
         params: Sequence[Any],
         plan: list[str],
         optimize: bool,
-        inner_filters: list[Expression],
-    ) -> Iterator[dict]:
+    ) -> Iterator[tuple]:
         kind = entry.join_kind or "CROSS"
-        keys = join_equalities(entry.join_on, entry.alias) if entry.join_on else []
-        index = None
-        key_pair = None
-        for outer_ref, inner_ref in keys:
-            candidate = entry.table.index_leading_on(inner_ref.column)
-            if candidate is not None:
-                index = candidate
-                key_pair = (outer_ref, inner_ref)
-                break
-        if index is not None:
-            filter_desc = (
-                "; inner filter: "
-                + " AND ".join(describe(f) for f in inner_filters)
-                if inner_filters else ""
+        inner_desc = " AND ".join(describe(f) for f in step.inner.exprs)
+        for position, (_outer_ref, inner_ref) in enumerate(step.keys):
+            index = entry.table.index_leading_on(inner_ref.column)
+            if index is not None:
+                filter_desc = f"; inner filter: {inner_desc}" if inner_desc else ""
+                plan.append(
+                    f"index nested-loop join {entry.alias} via {index.name}"
+                    f"{filter_desc}"
+                )
+                return self._index_join(entry, step, outer_rows, params,
+                                        index, step.outer_keys[position],
+                                        kind)
+        if optimize and step.keys:
+            key_desc = ", ".join(
+                f"{outer.key} = {inner.key}" for outer, inner in step.keys
             )
+            filter_desc = f"; build filter: {inner_desc}" if inner_desc else ""
             plan.append(
-                f"index nested-loop join {entry.alias} via {index.name}"
-                f"{filter_desc}"
+                f"hash join {entry.alias} on {key_desc} "
+                f"({kind.lower()}{filter_desc})"
             )
-            return self._index_join(entry, outer_envs, env_for, params,
-                                    index, key_pair, kind, inner_filters)
-        if optimize and keys:
-            return self._hash_join(entry, outer_envs, env_for, params,
-                                   keys, kind, inner_filters, plan)
-        return self._loop_join(entry, outer_envs, env_for, params,
-                               kind, inner_filters, plan)
+            return self._hash_join(entry, step, outer_rows, params, kind)
+        filter_desc = f"; inner filter: {inner_desc}" if inner_desc else ""
+        plan.append(
+            f"nested-loop join {entry.alias} ({kind.lower()}{filter_desc})"
+        )
+        return self._loop_join(entry, step, outer_rows, params, kind)
 
-    def _index_join(self, entry, outer_envs, env_for, params,
-                    index, key_pair, kind,
-                    inner_filters: list[Expression]) -> Iterator[dict]:
-        def generate() -> Iterator[dict]:
-            for outer_env in outer_envs:
+    def _inner_rows(self, entry: _BoundTable, step: _JoinStep,
+                    params: Sequence[Any]) -> list[tuple]:
+        """The inner table's rows that pass its pushed filters."""
+        test = step.inner.test
+        rows = list(map(_second, entry.table.scan()))
+        if test is None:
+            return rows
+        kept = [row for row in rows if test(row, params) is True]
+        self.pushdown_filtered += len(rows) - len(kept)
+        return kept
+
+    def _index_join(self, entry, step: _JoinStep, outer_rows, params,
+                    index, outer_key: Compiled, kind: str) -> Iterator[tuple]:
+        test, on, nulls = step.inner.test, step.on, step.nulls
+        lookup = entry.table.lookup
+
+        def generate() -> Iterator[tuple]:
+            for outer in outer_rows:
                 matched = False
-                outer_ref, _inner_ref = key_pair
-                value = outer_ref.evaluate(outer_env, params)
-                candidates = entry.table.lookup(index, (value,))
+                candidates = lookup(index, (outer_key(outer, params),))
                 self.rows_scanned += len(candidates)
-                for _rowid, row in candidates:
-                    inner_env = env_for(entry, row)
-                    if inner_filters and not all(
-                        truthy(f.evaluate(inner_env, params))
-                        for f in inner_filters
-                    ):
+                for _rowid, inner in candidates:
+                    if test is not None and test(inner, params) is not True:
                         self.pushdown_filtered += 1
                         continue
-                    env = {**outer_env, **inner_env}
-                    if entry.join_on is not None and not truthy(
-                        entry.join_on.evaluate(env, params)
-                    ):
+                    row = outer + inner
+                    if on is not None and on(row, params) is not True:
                         continue
                     matched = True
-                    yield env
+                    yield row
                 if kind == "LEFT" and not matched:
-                    yield {**outer_env, **env_for(entry, None)}
+                    yield outer + nulls
 
         return generate()
 
-    def _hash_join(self, entry, outer_envs, env_for, params,
-                   keys, kind, inner_filters, plan) -> Iterator[dict]:
+    def _hash_join(self, entry, step: _JoinStep, outer_rows, params,
+                   kind: str) -> Iterator[tuple]:
         """Build a hash table on the inner table, probe with the outer
         stream.  The full join condition is re-checked on every hash match
         (residual), so extra non-equality conjuncts and hash-normalisation
         edge cases cannot produce wrong rows."""
-        inner_refs = [inner for _outer, inner in keys]
-        outer_refs = [outer for outer, _inner in keys]
+        on, nulls = step.on, step.nulls
+        inner_keys, outer_keys = step.inner_keys, step.outer_keys
 
-        def generate() -> Iterator[dict]:
-            build: dict[tuple, list[dict]] = {}
-            built = 0
+        def generate() -> Iterator[tuple]:
+            build: dict[tuple, list[tuple]] = {}
             self.rows_scanned += len(entry.table)
-            for _rowid, row in entry.table.scan():
-                inner_env = env_for(entry, row)
-                if inner_filters and not all(
-                    truthy(f.evaluate(inner_env, params))
-                    for f in inner_filters
-                ):
-                    self.pushdown_filtered += 1
-                    continue
-                values = [ref.evaluate(inner_env, params) for ref in inner_refs]
+            built = 0
+            for inner in self._inner_rows(entry, step, params):
+                values = [key(inner, params) for key in inner_keys]
                 if any(v is None for v in values):
                     continue  # NULL keys never equal anything
                 build.setdefault(
                     tuple(hash_key(v) for v in values), []
-                ).append(inner_env)
+                ).append(inner)
                 built += 1
             self.hash_build_rows += built
-            for outer_env in outer_envs:
+            for outer in outer_rows:
                 matched = False
-                values = [
-                    ref.evaluate(outer_env, params) for ref in outer_refs
-                ]
+                values = [key(outer, params) for key in outer_keys]
                 if any(v is None for v in values):
                     candidates = []
                 else:
                     candidates = build.get(
                         tuple(hash_key(v) for v in values), []
                     )
-                for inner_env in candidates:
-                    env = {**outer_env, **inner_env}
-                    if entry.join_on is not None and not truthy(
-                        entry.join_on.evaluate(env, params)
-                    ):
+                for inner in candidates:
+                    row = outer + inner
+                    if on is not None and on(row, params) is not True:
                         continue
                     matched = True
-                    yield env
+                    yield row
                 if kind == "LEFT" and not matched:
-                    yield {**outer_env, **env_for(entry, None)}
+                    yield outer + nulls
 
-        key_desc = ", ".join(
-            f"{outer.key} = {inner.key}" for outer, inner in keys
-        )
-        filter_desc = (
-            "; build filter: " + " AND ".join(describe(f) for f in inner_filters)
-            if inner_filters else ""
-        )
-        plan.append(
-            f"hash join {entry.alias} on {key_desc} "
-            f"({kind.lower()}{filter_desc})"
-        )
         return generate()
 
-    def _loop_join(self, entry, outer_envs, env_for, params,
-                   kind, inner_filters, plan) -> Iterator[dict]:
-        filter_desc = (
-            "; inner filter: " + " AND ".join(describe(f) for f in inner_filters)
-            if inner_filters else ""
-        )
-        plan.append(
-            f"nested-loop join {entry.alias} ({kind.lower()}{filter_desc})"
-        )
+    def _loop_join(self, entry, step: _JoinStep, outer_rows, params,
+                   kind: str) -> Iterator[tuple]:
+        on, nulls = step.on, step.nulls
 
-        def generate() -> Iterator[dict]:
-            inner_envs: list[dict] = []
-            for _rowid, row in entry.table.scan():
-                inner_env = env_for(entry, row)
-                if inner_filters and not all(
-                    truthy(f.evaluate(inner_env, params))
-                    for f in inner_filters
-                ):
-                    self.pushdown_filtered += 1
-                    continue
-                inner_envs.append(inner_env)
-            for outer_env in outer_envs:
+        def generate() -> Iterator[tuple]:
+            inner_rows = self._inner_rows(entry, step, params)
+            for outer in outer_rows:
                 matched = False
-                self.rows_scanned += len(inner_envs)
-                for inner_env in inner_envs:
-                    env = {**outer_env, **inner_env}
-                    if entry.join_on is not None and not truthy(
-                        entry.join_on.evaluate(env, params)
-                    ):
+                self.rows_scanned += len(inner_rows)
+                for inner in inner_rows:
+                    row = outer + inner
+                    if on is not None and on(row, params) is not True:
                         continue
                     matched = True
-                    yield env
+                    yield row
                 if kind == "LEFT" and not matched:
-                    yield {**outer_env, **env_for(entry, None)}
+                    yield outer + nulls
 
         return generate()
-
-    # -- select list ---------------------------------------------------------------------
-
-    def _expand_items(self, stmt: SelectStmt, bound: list[_BoundTable]) -> list[SelectItem]:
-        items: list[SelectItem] = []
-        for item in stmt.items:
-            if not item.is_star:
-                items.append(item)
-                continue
-            targets = bound
-            if item.star_table is not None:
-                targets = [b for b in bound if b.alias == item.star_table]
-                if not targets:
-                    raise CatalogError(f"unknown table {item.star_table} in select list")
-            if not targets:
-                raise SqlSyntaxError("'*' requires a FROM clause")
-            for entry in targets:
-                for name in entry.schema.column_names:
-                    items.append(
-                        SelectItem(ColumnRef(name, table=entry.alias), alias=name)
-                    )
-        return items
-
-    @staticmethod
-    def _item_label(item: SelectItem, position: int) -> str:
-        if item.alias:
-            return item.alias
-        if isinstance(item.expr, ColumnRef):
-            return item.expr.column
-        if isinstance(item.expr, AggregateCall):
-            return item.expr.name
-        return f"EXPR{position + 1}"
 
     # -- grouping -------------------------------------------------------------------------
 
-    def _group(
-        self,
-        stmt: SelectStmt,
-        items: list[SelectItem],
-        envs: Iterator[dict],
-        params: Sequence[Any],
-        group_exprs: list[Expression] | None = None,
-    ) -> Iterator[dict]:
-        if group_exprs is None:
-            group_exprs = list(stmt.group_by)
-        aggregates: list[AggregateCall] = []
-        for item in items:
-            for node in item.expr.walk():
-                if isinstance(node, AggregateCall):
-                    aggregates.append(node)
-        if stmt.having is not None:
-            for node in stmt.having.walk():
-                if isinstance(node, AggregateCall):
-                    aggregates.append(node)
-        # De-duplicate by key so COUNT(*) appearing twice folds once.
-        unique_aggs: dict[str, AggregateCall] = {}
-        for agg in aggregates:
-            unique_aggs.setdefault(agg.key, agg)
-
-        groups: dict[tuple, dict] = {}
-        for env in envs:
-            key_values = tuple(
-                expr.evaluate(env, params) for expr in group_exprs
-            )
-            key = tuple(_NullsFirstKey((v,)) for v in key_values)
+    @staticmethod
+    def _group(pipeline: _Pipeline, rows: Iterator[tuple],
+               params: Sequence[Any]) -> Iterator[Any]:
+        """Hash aggregation; yields each group's first source row followed
+        by its aggregate values."""
+        aggregates, group_keys = pipeline.aggregates, pipeline.group_keys
+        groups: dict[tuple, tuple[tuple | None, list[list]]] = {}
+        for row in rows:
+            key = tuple(_NullsFirstKey((fn(row, params),)) for fn in group_keys)
             group = groups.get(key)
             if group is None:
-                group = {"env": env, "inputs": {k: [] for k in unique_aggs}}
-                groups[key] = group
-            for agg_key, agg in unique_aggs.items():
-                if isinstance(agg.arg, Star):
-                    group["inputs"][agg_key].append(1)
+                group = groups[key] = (row, [[] for _ in aggregates])
+            for (_agg, arg), inputs in zip(aggregates, group[1]):
+                if arg is None:
+                    inputs.append(1)
                 else:
-                    value = agg.arg.evaluate(env, params)
+                    value = arg(row, params)
                     if value is not None:
-                        group["inputs"][agg_key].append(value)
+                        inputs.append(value)
 
-        if not groups and not stmt.group_by:
+        if not groups and not group_keys:
             # Aggregate over an empty input still yields one row.
-            groups[()] = {"env": {}, "inputs": {k: [] for k in unique_aggs}}
+            groups[()] = (None, [[] for _ in aggregates])
 
-        def generate() -> Iterator[dict]:
-            for group in groups.values():
-                env = dict(group["env"])
-                for agg_key, agg in unique_aggs.items():
-                    env[agg_key] = agg.accumulate(group["inputs"][agg_key])
-                if stmt.having is not None and not truthy(
-                    stmt.having.evaluate(env, params)
-                ):
+        having = pipeline.having
+
+        def generate() -> Iterator[Any]:
+            for first, inputs in groups.values():
+                values = tuple(
+                    agg.accumulate(collected)
+                    for (agg, _arg), collected in zip(aggregates, inputs)
+                )
+                if first is None:
+                    grouped = _EmptyGroupRow(pipeline.source_names, values)
+                else:
+                    grouped = first + values
+                if having is not None and having(grouped, params) is not True:
                     continue
-                yield env
+                yield grouped
 
         return generate()
+
+
+def _rank(value: Any) -> tuple:
+    """The NULLs-first order of :class:`_NullsFirstKey` as a plain tuple."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float)):
+        return (2, value)
+    return (3, value)
+
+
+def _ranked_keys(values: list[tuple]) -> list:
+    """Per-row sort keys built from plain tuples, so comparisons run in C
+    (sorting them raises TypeError if two values are incomparable)."""
+    if values and len(values[0]) == 1:
+        return [_rank(row[0]) for row in values]
+    return [tuple(map(_rank, row)) for row in values]
 
 
 class _SortPart:

@@ -1,16 +1,35 @@
-"""Expression AST and evaluation with SQL three-valued logic.
+"""Expression AST and its compiler, with SQL three-valued logic.
 
 Expressions appear in WHERE/HAVING clauses, CHECK constraints, computed
 SELECT items and join conditions.  Evaluation follows SQL semantics:
 ``NULL`` propagates through comparisons and arithmetic, ``AND``/``OR`` use
 Kleene logic, and a WHERE clause keeps a row only when the predicate is
 *true* (not merely non-false).
+
+There is one evaluator: :meth:`Expression.compile` turns a tree into a
+closure ``fn(row, params)``.  A :class:`Binder` decides how the closure
+reads columns out of ``row``:
+
+* :class:`PositionalBinder` — ``row`` is a tuple and every column
+  reference was resolved to an offset at compile time.  The executor and
+  UPDATE/DELETE compile each statement's expressions this way once and
+  reuse the closures for every row and every execution.
+* :class:`NameBinder` — ``row`` is a mapping keyed by ``ALIAS.COLUMN`` and
+  bare column names.  :meth:`Expression.evaluate` uses it (compiling once
+  per node), which serves CHECK constraints and other dict-shaped callers.
+
+Compiled closures hold no per-call state: parameters arrive with each
+call, so one closure may run on several threads at once.  A reference the
+binder cannot resolve compiles to a closure that raises when it runs, so
+errors surface exactly where tree-walking evaluation raised them.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import operator
 import re
+from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import CatalogError, SqlSyntaxError, TypeMismatchError
@@ -30,18 +49,106 @@ __all__ = [
     "FunctionCall",
     "AggregateCall",
     "Star",
+    "Binder",
+    "Bindings",
+    "NameBinder",
+    "PositionalBinder",
+    "like_matcher",
     "truthy",
     "hash_key",
 ]
 
 AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
+#: a compiled expression: ``fn(row, params) -> value``
+Compiled = Callable[[Any, Sequence[Any]], Any]
+
+
+def _failing(error: type[Exception], message: str) -> Compiled:
+    """A closure that raises ``error(message)`` when it runs."""
+
+    def fail(row, params):
+        raise error(message)
+
+    return fail
+
+
+class Binder:
+    """Resolves column and aggregate references while compiling: a
+    reference becomes a closure that reads its value out of the row."""
+
+    def column(self, ref: "ColumnRef") -> Compiled:
+        # No silent fallback from qualified to bare names: a qualifier that
+        # does not resolve is an error (this is what surfaces correlated
+        # subqueries, which are unsupported, instead of mis-binding them).
+        return self._reader(ref.key, CatalogError, f"unknown column {ref.key}")
+
+    def aggregate(self, agg: "AggregateCall") -> Compiled:
+        return self._reader(
+            agg.key, SqlSyntaxError,
+            f"aggregate {agg.name} used outside a grouped query",
+        )
+
+    def _reader(self, key: str, error: type[Exception],
+                message: str) -> Compiled:
+        raise NotImplementedError
+
+
+class NameBinder(Binder):
+    """Rows are mappings keyed by ``ALIAS.COLUMN`` and bare column names;
+    aggregate values are bound under :attr:`AggregateCall.key`."""
+
+    def _reader(self, key: str, error: type[Exception],
+                message: str) -> Compiled:
+        def read(row, params):
+            try:
+                return row[key]
+            except KeyError:
+                raise error(message) from None
+
+        return read
+
+
+class PositionalBinder(Binder):
+    """Rows are tuples; ``offsets`` maps ``ALIAS.COLUMN``, the bare names
+    that are unambiguous, and aggregate keys to tuple positions."""
+
+    def __init__(self, offsets: Mapping[str, int]) -> None:
+        self.offsets = dict(offsets)
+
+    def _reader(self, key: str, error: type[Exception],
+                message: str) -> Compiled:
+        offset = self.offsets.get(key)
+        if offset is None:
+            return _failing(error, message)
+
+        def read(row, params):
+            return row[offset]
+
+        return read
+
+
+#: shared by every :meth:`Expression.evaluate` call; stateless
+_BY_NAME = NameBinder()
+
 
 class Expression:
     """Base class for AST nodes."""
 
-    def evaluate(self, env: Mapping[str, Any], params: Sequence[Any] = ()) -> Any:
+    #: this node compiled with the name binder, built on first evaluate()
+    _by_name: Compiled | None = None
+
+    def compile(self, binder: Binder) -> Compiled:
+        """This subtree as a closure ``fn(row, params)``; ``binder``
+        decides how column and aggregate references read ``row``."""
         raise NotImplementedError
+
+    def evaluate(self, env: Mapping[str, Any], params: Sequence[Any] = ()) -> Any:
+        """Evaluate against a mapping ``env`` (see :class:`NameBinder`)."""
+        compiled = self._by_name
+        if compiled is None:
+            compiled = self._by_name = self.compile(_BY_NAME)
+        return compiled(env, params)
 
     def column_refs(self) -> list["ColumnRef"]:
         """All column references in this subtree (planner uses this)."""
@@ -78,8 +185,13 @@ class Literal(Expression):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def evaluate(self, env, params=()) -> Any:
-        return self.value
+    def compile(self, binder: Binder) -> Compiled:
+        value = self.value
+
+        def literal(row, params):
+            return value
+
+        return literal
 
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
@@ -96,14 +208,19 @@ class Parameter(Expression):
     def __init__(self, index: int) -> None:
         self.index = index
 
-    def evaluate(self, env, params=()) -> Any:
-        try:
-            return params[self.index]
-        except IndexError:
-            raise SqlSyntaxError(
-                f"statement has parameter ?{self.index + 1} but only "
-                f"{len(params)} parameter value(s) were supplied"
-            ) from None
+    def compile(self, binder: Binder) -> Compiled:
+        index = self.index
+
+        def parameter(row, params):
+            try:
+                return params[index]
+            except IndexError:
+                raise SqlSyntaxError(
+                    f"statement has parameter ?{index + 1} but only "
+                    f"{len(params)} parameter value(s) were supplied"
+                ) from None
+
+        return parameter
 
     def __repr__(self) -> str:
         return f"Parameter({self.index})"
@@ -122,14 +239,8 @@ class ColumnRef(Expression):
     def key(self) -> str:
         return f"{self.table}.{self.column}" if self.table else self.column
 
-    def evaluate(self, env, params=()) -> Any:
-        key = self.key
-        if key in env:
-            return env[key]
-        # No silent fallback from qualified to bare names: a qualifier that
-        # does not resolve is an error (this is what surfaces correlated
-        # subqueries, which are unsupported, instead of mis-binding them).
-        raise CatalogError(f"unknown column {key}")
+    def compile(self, binder: Binder) -> Compiled:
+        return binder.column(self)
 
     def _collect_refs(self, out: list["ColumnRef"]) -> None:
         out.append(self)
@@ -151,42 +262,66 @@ class ColumnRef(Expression):
 class Star(Expression):
     """``*`` in a select list or ``COUNT(*)``."""
 
-    def evaluate(self, env, params=()) -> Any:
-        raise SqlSyntaxError("'*' cannot be evaluated as a scalar")
+    def compile(self, binder: Binder) -> Compiled:
+        return _failing(SqlSyntaxError, "'*' cannot be evaluated as a scalar")
 
     def __repr__(self) -> str:
         return "Star()"
+
+
+class Bindings(tuple):
+    """The parameters of one execution plus its materialised subqueries.
+
+    A tuple, so ``?`` placeholders index it like plain parameters; compiled
+    subquery references read their node's result from :attr:`subqueries`.
+    Results travel with the call rather than living on the (shared,
+    cached) AST, so concurrent executions of one statement stay apart.
+    """
+
+    def __new__(cls, params: Sequence[Any], subqueries: dict) -> "Bindings":
+        bindings = super().__new__(cls, params)
+        bindings.subqueries = subqueries
+        return bindings
+
+
+def _materialised(node: Expression) -> Compiled:
+    """A closure returning ``node``'s subquery result for the call."""
+
+    def result(row, params):
+        try:
+            return params.subqueries[node]
+        except (AttributeError, KeyError):
+            raise SqlSyntaxError(
+                "subquery was not materialised before evaluation"
+            ) from None
+
+    return result
 
 
 class Subquery(Expression):
     """A scalar subquery ``(SELECT ...)``.
 
     Only *uncorrelated* subqueries are supported: the executor materialises
-    the nested SELECT once per statement execution (binding the result via
-    :meth:`bind`) before row evaluation begins.  A scalar subquery must
-    yield one column; zero rows evaluate to NULL, more than one row is an
-    error.
+    the nested SELECT once per statement execution (through
+    :meth:`materialise`, passed to row evaluation in :class:`Bindings`).
+    A scalar subquery must yield one column; zero rows evaluate to NULL,
+    more than one row is an error.
     """
 
-    __slots__ = ("select", "_bound", "_value")
+    __slots__ = ("select",)
 
     def __init__(self, select) -> None:
         self.select = select  # a SelectStmt; typed loosely to avoid cycles
-        self._bound = False
-        self._value = None
 
-    def bind(self, rows: list[tuple]) -> None:
+    def materialise(self, rows: list[tuple]) -> Any:
         if rows and len(rows[0]) != 1:
             raise SqlSyntaxError("scalar subquery must select exactly one column")
         if len(rows) > 1:
             raise SqlSyntaxError("scalar subquery returned more than one row")
-        self._value = rows[0][0] if rows else None
-        self._bound = True
+        return rows[0][0] if rows else None
 
-    def evaluate(self, env, params=()) -> Any:
-        if not self._bound:
-            raise SqlSyntaxError("subquery was not materialised before evaluation")
-        return self._value
+    def compile(self, binder: Binder) -> Compiled:
+        return _materialised(self)
 
     def __repr__(self) -> str:
         return "Subquery(...)"
@@ -196,88 +331,78 @@ class ExistsSubquery(Expression):
     """``[NOT] EXISTS (SELECT ...)`` — true when the (uncorrelated)
     subquery returns at least one row."""
 
-    __slots__ = ("select", "negated", "_bound", "_nonempty")
+    __slots__ = ("select", "negated")
 
     def __init__(self, select, negated: bool = False) -> None:
         self.select = select
         self.negated = negated
-        self._bound = False
-        self._nonempty = False
 
-    def bind(self, rows: list[tuple]) -> None:
-        self._nonempty = bool(rows)
-        self._bound = True
+    def materialise(self, rows: list[tuple]) -> bool:
+        return bool(rows) is not self.negated
 
-    def evaluate(self, env, params=()) -> Any:
-        if not self._bound:
-            raise SqlSyntaxError("subquery was not materialised before evaluation")
-        return (not self._nonempty) if self.negated else self._nonempty
+    def compile(self, binder: Binder) -> Compiled:
+        return _materialised(self)
 
 
 class InSubquery(Expression):
     """``expr [NOT] IN (SELECT ...)`` — materialised like :class:`Subquery`.
 
     Executed as a hashed semi-join: when every subquery value is a simple
-    hashable scalar, :meth:`bind` builds a set of normalised keys and each
-    row's membership test is O(1) instead of a scan over the value list.
-    Mixed or exotic value types fall back to the pairwise ``=`` comparison,
-    which handles cross-type coercions (dates vs strings etc.).
+    hashable scalar, :meth:`materialise` builds a set of normalised keys
+    and each row's membership test is O(1) instead of a scan over the
+    value list.  Mixed or exotic value types fall back to the pairwise
+    ``=`` comparison, which handles cross-type coercions (dates vs strings
+    etc.).
     """
 
-    __slots__ = (
-        "operand", "select", "negated", "_bound", "_values",
-        "_hashed", "_hash_family", "_saw_null",
-    )
+    __slots__ = ("operand", "select", "negated")
 
     def __init__(self, operand: Expression, select, negated: bool = False) -> None:
         self.operand = operand
         self.select = select
         self.negated = negated
-        self._bound = False
-        self._values: list[Any] = []
-        self._hashed: set | None = None
-        self._hash_family: tuple[type, ...] | None = None
-        self._saw_null = False
 
-    def bind(self, rows: list[tuple]) -> None:
+    def materialise(self, rows: list[tuple]) -> tuple:
+        """``(values, hashed keys or None, their type family, saw NULL)``."""
         if rows and len(rows[0]) != 1:
             raise SqlSyntaxError("IN subquery must select exactly one column")
-        self._values = [row[0] for row in rows]
-        self._saw_null = any(v is None for v in self._values)
-        present = [v for v in self._values if v is not None]
+        values = [row[0] for row in rows]
+        present = [v for v in values if v is not None]
         # Hash only homogeneous families: a probe value outside the family
         # must fall back to the pairwise path, which raises (or coerces)
         # exactly as the naive comparison loop would.
-        self._hashed = None
-        self._hash_family = None
         for family in ((int, float), (str, Clob)):
             if all(isinstance(v, family) for v in present):
-                self._hashed = {hash_key(v) for v in present}
-                self._hash_family = family
-                break
-        self._bound = True
+                hashed = {hash_key(v) for v in present}
+                return values, hashed, family, len(present) < len(values)
+        return values, None, None, len(present) < len(values)
 
-    def evaluate(self, env, params=()) -> Any:
-        if not self._bound:
-            raise SqlSyntaxError("subquery was not materialised before evaluation")
-        value = self.operand.evaluate(env, params)
-        if value is None:
-            return None
-        if self._hashed is not None and isinstance(value, self._hash_family):
-            matched = hash_key(value) in self._hashed
-        else:
-            matched = False
-            for candidate in self._values:
-                if candidate is None:
-                    continue
-                if _compare("=", value, candidate):
-                    matched = True
-                    break
-        if matched:
-            return False if self.negated else True
-        if self._saw_null:
-            return None
-        return True if self.negated else False
+    def compile(self, binder: Binder) -> Compiled:
+        materialised = _materialised(self)
+        operand = self.operand.compile(binder)
+        negated = self.negated
+        equal = _COMPARATORS["="]
+
+        def in_subquery(row, params):
+            values, hashed, family, saw_null = materialised(row, params)
+            value = operand(row, params)
+            if value is None:
+                return None
+            if hashed is not None and isinstance(value, family):
+                matched = hash_key(value) in hashed
+            else:
+                matched = False
+                for candidate in values:
+                    if candidate is not None and equal(value, candidate):
+                        matched = True
+                        break
+            if matched:
+                return not negated
+            if saw_null:
+                return None
+            return negated
+
+        return in_subquery
 
     def _children(self):
         return [self.operand]
@@ -377,26 +502,41 @@ def _arith(op: str, left: Any, right: Any) -> Any:
     raise SqlSyntaxError(f"unknown arithmetic operator {op}")
 
 
-def _compare(op: str, left: Any, right: Any) -> bool:
-    left, right = _comparable(left, right)
-    try:
-        if op == "=":
-            return left == right
-        if op in ("<>", "!="):
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        raise TypeMismatchError(
-            f"cannot compare {type(left).__name__} with {type(right).__name__}"
-        ) from None
-    raise SqlSyntaxError(f"unknown comparison operator {op}")
+def _comparator(op: str, test: Callable[[Any, Any], bool]):
+    """``compare(left, right)`` for one comparison operator.  Operands of
+    one plain type (int, float, str) skip :func:`_comparable`, whose only
+    effect on them would be stripping CHAR padding."""
+
+    def compare(left: Any, right: Any) -> bool:
+        kind = type(left)
+        if kind is type(right):
+            if kind is int or kind is float:
+                return test(left, right)
+            if kind is str:
+                return test(left.rstrip(), right.rstrip())
+        left, right = _comparable(left, right)
+        try:
+            return test(left, right)
+        except TypeError:
+            raise TypeMismatchError(
+                f"cannot compare {type(left).__name__} with "
+                f"{type(right).__name__}"
+            ) from None
+
+    return compare
+
+
+_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
+    op: _comparator(op, test)
+    for op, test in (
+        ("=", operator.eq), ("<>", operator.ne), ("!=", operator.ne),
+        ("<", operator.lt), ("<=", operator.le),
+        (">", operator.gt), (">=", operator.ge),
+    )
+}
+
+
+_ARITHMETIC = frozenset({"+", "-", "*", "/", "%"})
 
 
 class BinaryOp(Expression):
@@ -409,38 +549,58 @@ class BinaryOp(Expression):
         self.left = left
         self.right = right
 
-    def evaluate(self, env, params=()) -> Any:
+    def compile(self, binder: Binder) -> Compiled:
         op = self.op
+        left = self.left.compile(binder)
+        right = self.right.compile(binder)
         if op == "AND":
-            left = self.left.evaluate(env, params)
-            if left is False:
-                return False
-            right = self.right.evaluate(env, params)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if op == "OR":
-            left = self.left.evaluate(env, params)
-            if left is True:
-                return True
-            right = self.right.evaluate(env, params)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
 
-        left = self.left.evaluate(env, params)
-        right = self.right.evaluate(env, params)
-        if left is None or right is None:
-            return None
+            def and_(row, params):
+                lhs = left(row, params)
+                if lhs is False:
+                    return False
+                rhs = right(row, params)
+                if rhs is False:
+                    return False
+                if lhs is None or rhs is None:
+                    return None
+                return True
+
+            return and_
+        if op == "OR":
+
+            def or_(row, params):
+                lhs = left(row, params)
+                if lhs is True:
+                    return True
+                rhs = right(row, params)
+                if rhs is True:
+                    return True
+                if lhs is None or rhs is None:
+                    return None
+                return False
+
+            return or_
+
         if op == "||":
-            return _stringify(left) + _stringify(right)
-        if op in ("+", "-", "*", "/", "%"):
-            return _arith(op, left, right)
-        return _compare(op, left, right)
+            def combine(lhs, rhs):
+                return _stringify(lhs) + _stringify(rhs)
+        elif op in _ARITHMETIC:
+            def combine(lhs, rhs):
+                return _arith(op, lhs, rhs)
+        else:
+            combine = _COMPARATORS.get(op)
+            if combine is None:
+                return _failing(SqlSyntaxError, f"unknown comparison operator {op}")
+
+        def binary(row, params):
+            lhs = left(row, params)
+            rhs = right(row, params)
+            if lhs is None or rhs is None:
+                return None
+            return combine(lhs, rhs)
+
+        return binary
 
     def _children(self):
         return [self.left, self.right]
@@ -472,19 +632,30 @@ class UnaryOp(Expression):
         self.op = op.upper()
         self.operand = operand
 
-    def evaluate(self, env, params=()) -> Any:
-        value = self.operand.evaluate(env, params)
-        if self.op == "NOT":
+    def compile(self, binder: Binder) -> Compiled:
+        op = self.op
+        operand = self.operand.compile(binder)
+        if op == "NOT":
+
+            def not_(row, params):
+                value = operand(row, params)
+                if value is None:
+                    return None
+                return not value
+
+            return not_
+
+        def unary(row, params):
+            value = operand(row, params)
             if value is None:
                 return None
-            return not value
-        if value is None:
-            return None
-        if self.op == "-":
-            return -_numeric(value, "-")
-        if self.op == "+":
-            return _numeric(value, "+")
-        raise SqlSyntaxError(f"unknown unary operator {self.op}")
+            if op == "-":
+                return -_numeric(value, "-")
+            if op == "+":
+                return _numeric(value, "+")
+            raise SqlSyntaxError(f"unknown unary operator {op}")
+
+        return unary
 
     def _children(self):
         return [self.operand]
@@ -505,10 +676,14 @@ class IsNull(Expression):
         self.operand = operand
         self.negated = negated
 
-    def evaluate(self, env, params=()) -> bool:
-        value = self.operand.evaluate(env, params)
-        result = value is None
-        return (not result) if self.negated else result
+    def compile(self, binder: Binder) -> Compiled:
+        operand = self.operand.compile(binder)
+        negated = self.negated
+
+        def is_null(row, params):
+            return (operand(row, params) is None) is not negated
+
+        return is_null
 
     def _children(self):
         return [self.operand]
@@ -517,10 +692,39 @@ class IsNull(Expression):
         self.operand._collect_refs(out)
 
 
+@lru_cache(maxsize=256)
+def like_matcher(pattern: str) -> Callable[[str], bool]:
+    """A predicate equal to ``Like.compile_pattern(pattern).match``, built
+    once per distinct pattern.  Patterns whose only wildcards are a
+    leading and/or trailing ``%`` become plain string tests; the rest use
+    the translated regex."""
+    collapsed = re.sub("%+", "%", pattern)
+    if "_" not in collapsed:
+        parts = collapsed.split("%")
+        if len(parts) == 1:
+            return lambda value: value == collapsed
+        if len(parts) == 2:
+            prefix, suffix = parts
+            least = len(prefix) + len(suffix)
+            return lambda value: (
+                len(value) >= least
+                and value.startswith(prefix)
+                and value.endswith(suffix)
+            )
+        if len(parts) == 3 and not parts[0] and not parts[2]:
+            middle = parts[1]
+            return lambda value: middle in value
+    regex = Like.compile_pattern(pattern)
+    return lambda value: regex.match(value) is not None
+
+
 class Like(Expression):
     """``expr [NOT] LIKE pattern`` with ``%`` and ``_`` wildcards.
 
-    This powers the QBE form's wildcard restrictions.
+    This powers the QBE form's wildcard restrictions.  A constant pattern
+    is translated when the expression is compiled; a parameter pattern
+    goes through :func:`like_matcher`'s cache, so each distinct pattern is
+    translated once, not once per row.
     """
 
     __slots__ = ("operand", "pattern", "negated")
@@ -543,14 +747,35 @@ class Like(Expression):
                 out.append(re.escape(ch))
         return re.compile("".join(out) + r"\Z", re.DOTALL)
 
-    def evaluate(self, env, params=()) -> Any:
-        value = self.operand.evaluate(env, params)
-        pattern = self.pattern.evaluate(env, params)
-        if value is None or pattern is None:
-            return None
-        value = _stringify(value).rstrip()
-        result = bool(self.compile_pattern(_stringify(pattern)).match(value))
-        return (not result) if self.negated else result
+    def compile(self, binder: Binder) -> Compiled:
+        operand = self.operand.compile(binder)
+        negated = self.negated
+        if isinstance(self.pattern, Literal) and self.pattern.value is not None:
+            match = like_matcher(_stringify(self.pattern.value))
+
+            def like_constant(row, params):
+                value = operand(row, params)
+                if value is None:
+                    return None
+                if type(value) is not str:
+                    value = _stringify(value)
+                return match(value.rstrip()) is not negated
+
+            return like_constant
+        pattern = self.pattern.compile(binder)
+
+        def like(row, params):
+            value = operand(row, params)
+            text = pattern(row, params)
+            if value is None or text is None:
+                return None
+            if type(text) is not str:
+                text = _stringify(text)
+            if type(value) is not str:
+                value = _stringify(value)
+            return like_matcher(text)(value.rstrip()) is not negated
+
+        return like
 
     def _children(self):
         return [self.operand, self.pattern]
@@ -570,21 +795,28 @@ class InList(Expression):
         self.items = list(items)
         self.negated = negated
 
-    def evaluate(self, env, params=()) -> Any:
-        value = self.operand.evaluate(env, params)
-        if value is None:
-            return None
-        saw_null = False
-        for item in self.items:
-            candidate = item.evaluate(env, params)
-            if candidate is None:
-                saw_null = True
-                continue
-            if _compare("=", value, candidate):
-                return False if self.negated else True
-        if saw_null:
-            return None
-        return True if self.negated else False
+    def compile(self, binder: Binder) -> Compiled:
+        operand = self.operand.compile(binder)
+        items = [item.compile(binder) for item in self.items]
+        negated = self.negated
+        equal = _COMPARATORS["="]
+
+        def in_list(row, params):
+            value = operand(row, params)
+            if value is None:
+                return None
+            saw_null = False
+            for item in items:
+                candidate = item(row, params)
+                if candidate is None:
+                    saw_null = True
+                elif equal(value, candidate):
+                    return not negated
+            if saw_null:
+                return None
+            return negated
+
+        return in_list
 
     def _children(self):
         return [self.operand, *self.items]
@@ -612,14 +844,23 @@ class Between(Expression):
         self.high = high
         self.negated = negated
 
-    def evaluate(self, env, params=()) -> Any:
-        value = self.operand.evaluate(env, params)
-        low = self.low.evaluate(env, params)
-        high = self.high.evaluate(env, params)
-        if value is None or low is None or high is None:
-            return None
-        result = _compare(">=", value, low) and _compare("<=", value, high)
-        return (not result) if self.negated else result
+    def compile(self, binder: Binder) -> Compiled:
+        operand = self.operand.compile(binder)
+        low_fn = self.low.compile(binder)
+        high_fn = self.high.compile(binder)
+        negated = self.negated
+        at_least, at_most = _COMPARATORS[">="], _COMPARATORS["<="]
+
+        def between(row, params):
+            value = operand(row, params)
+            low = low_fn(row, params)
+            high = high_fn(row, params)
+            if value is None or low is None or high is None:
+                return None
+            result = at_least(value, low) and at_most(value, high)
+            return (not result) if negated else result
+
+        return between
 
     def _children(self):
         return [self.operand, self.low, self.high]
@@ -687,13 +928,22 @@ class CaseExpression(Expression):
         self.branches = list(branches)
         self.default = default
 
-    def evaluate(self, env, params=()) -> Any:
-        for condition, value in self.branches:
-            if truthy(condition.evaluate(env, params)):
-                return value.evaluate(env, params)
-        if self.default is not None:
-            return self.default.evaluate(env, params)
-        return None
+    def compile(self, binder: Binder) -> Compiled:
+        branches = [
+            (condition.compile(binder), value.compile(binder))
+            for condition, value in self.branches
+        ]
+        default = self.default.compile(binder) if self.default is not None else None
+
+        def case(row, params):
+            for condition, value in branches:
+                if condition(row, params) is True:
+                    return value(row, params)
+            if default is not None:
+                return default(row, params)
+            return None
+
+        return case
 
     def _children(self):
         out: list[Expression] = []
@@ -722,20 +972,29 @@ class FunctionCall(Expression):
         self.name = name.upper()
         self.args = list(args)
 
-    def evaluate(self, env, params=()) -> Any:
+    def compile(self, binder: Binder) -> Compiled:
+        args = [arg.compile(binder) for arg in self.args]
         if self.name == "COALESCE":
-            for arg in self.args:
-                value = arg.evaluate(env, params)
-                if value is not None:
-                    return value
-            return None
+
+            def coalesce(row, params):
+                for arg in args:
+                    value = arg(row, params)
+                    if value is not None:
+                        return value
+                return None
+
+            return coalesce
         fn = _SCALAR_FUNCTIONS.get(self.name)
         if fn is None:
-            raise SqlSyntaxError(f"unknown function {self.name}")
-        values = [arg.evaluate(env, params) for arg in self.args]
-        if any(v is None for v in values):
-            return None
-        return fn(values)
+            return _failing(SqlSyntaxError, f"unknown function {self.name}")
+
+        def call(row, params):
+            values = [arg(row, params) for arg in args]
+            if any(v is None for v in values):
+                return None
+            return fn(values)
+
+        return call
 
     def _children(self):
         return list(self.args)
@@ -752,8 +1011,8 @@ class AggregateCall(Expression):
     """Aggregate function reference: COUNT/SUM/AVG/MIN/MAX.
 
     During grouped execution the executor pre-computes each aggregate and
-    binds its value into the row environment under :attr:`key`; evaluation
-    here simply reads that binding.
+    binds its value into the grouped row under :attr:`key`; the compiled
+    reference reads that binding through the binder.
     """
 
     __slots__ = ("name", "arg", "distinct")
@@ -771,12 +1030,8 @@ class AggregateCall(Expression):
         distinct = "DISTINCT " if self.distinct else ""
         return f"$agg:{self.name}({distinct}{arg})"
 
-    def evaluate(self, env, params=()) -> Any:
-        if self.key in env:
-            return env[self.key]
-        raise SqlSyntaxError(
-            f"aggregate {self.name} used outside a grouped query"
-        )
+    def compile(self, binder: Binder) -> Compiled:
+        return binder.aggregate(self)
 
     def accumulate(self, values: list[Any]) -> Any:
         """Fold non-NULL input ``values`` into the aggregate result."""

@@ -119,12 +119,16 @@ class UpdateStmt(Statement):
         self.table = table.upper()
         self.assignments = [(c.upper(), e) for c, e in assignments]
         self.where = where
+        #: WHERE/SET compiled for one column layout (Database._dml_closures)
+        self.compiled: tuple | None = None
 
 
 class DeleteStmt(Statement):
     def __init__(self, table: str, where: Expression | None) -> None:
         self.table = table.upper()
         self.where = where
+        #: WHERE compiled for one column layout (Database._dml_closures)
+        self.compiled: tuple | None = None
 
 
 class SelectItem:
@@ -191,6 +195,10 @@ class SelectStmt(Statement):
         self.limit = limit
         self.offset = offset
         self.distinct = distinct
+        #: compiled row pipelines, keyed by the executor's optimize flag
+        #: (see repro.sqldb.executor._Pipeline); each records the column
+        #: layout it was compiled for and is rebuilt when that changes
+        self.pipelines: dict[bool, Any] = {}
 
 
 class ExplainStmt(Statement):

@@ -482,13 +482,20 @@ class Table:
     # -- mutation ---------------------------------------------------------------
 
     def insert(self, row: Sequence[Any], rowid: int | None = None) -> tuple[int, tuple]:
+        """Validate and store ``row``; returns ``(rowid, stored_row)``."""
         validated = self.schema.validate_row(row)
-        self._check_unique(validated)
+        return self.insert_valid(validated, rowid), validated
+
+    def insert_valid(self, row: tuple, rowid: int | None = None) -> int:
+        """Store a row that :meth:`TableSchema.validate_row` returned (the
+        SQL layer validates before its constraint checks, once); returns
+        its rowid."""
+        self._check_unique(row)
         self.version_seq = self.heap.clock.pending
-        rowid = self.heap.insert(validated, rowid)
+        rowid = self.heap.insert(row, rowid)
         for index in self.indexes.values():
-            index.add(self.schema.key_of(validated, index.columns), rowid)
-        return rowid, validated
+            index.add(self.schema.key_of(row, index.columns), rowid)
+        return rowid
 
     def delete(self, rowid: int) -> tuple:
         self.version_seq = self.heap.clock.pending
@@ -498,19 +505,25 @@ class Table:
         return row
 
     def update(self, rowid: int, new_row: Sequence[Any]) -> tuple[tuple, tuple]:
-        """Replace the row at ``rowid``; returns ``(old_row, new_row)``."""
+        """Validate and store ``new_row`` at ``rowid``; returns
+        ``(old_row, new_row)``."""
         validated = self.schema.validate_row(new_row)
+        return self.update_valid(rowid, validated), validated
+
+    def update_valid(self, rowid: int, row: tuple) -> tuple:
+        """Replace the row at ``rowid`` with an already validated ``row``;
+        returns the old row."""
         old = self.heap.get(rowid)
-        self._check_unique(validated, ignore_rowid=rowid)
+        self._check_unique(row, ignore_rowid=rowid)
         self.version_seq = self.heap.clock.pending
-        self.heap.update(rowid, validated)
+        self.heap.update(rowid, row)
         for index in self.indexes.values():
             old_key = self.schema.key_of(old, index.columns)
-            new_key = self.schema.key_of(validated, index.columns)
+            new_key = self.schema.key_of(row, index.columns)
             if old_key != new_key:
                 index.remove(old_key, rowid)
                 index.add(new_key, rowid)
-        return old, validated
+        return old
 
     def _check_unique(self, row: tuple, ignore_rowid: int | None = None) -> None:
         for index in self.indexes.values():

@@ -38,6 +38,7 @@ CLOBs, DATALINKs and temporal values round-trip exactly.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import threading
@@ -113,6 +114,10 @@ class WriteAheadLog:
         #: write must be one atomic step so LSNs stay monotonic *in file
         #: order* even when multiple connections commit concurrently
         self._append_lock = threading.Lock()
+        #: the log opened for appending, kept across commits; closed (and
+        #: reopened by the next append) whenever the file is rewritten
+        #: outside it: checkpoint truncation, torn-tail repair, a scan
+        self._handle = None
 
     # -- appending ---------------------------------------------------------------
 
@@ -141,22 +146,32 @@ class WriteAheadLog:
         payload = json.dumps(
             {"lsn": lsn, "txn": txn_id, "ops": encoded}, separators=(",", ":")
         )
-        crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-        line = f"2|{crc:08x}|{payload}\n"
+        data = payload.encode("utf-8")
+        crc = zlib.crc32(data) & 0xFFFFFFFF
+        line = b"2|%08x|" % crc + data + b"\n"
+        # unbuffered: every byte is handed to the OS by the write call, so
+        # nothing of a failed commit can linger to reach the log later
+        handle = self._append_handle()
         if faultinject.should_crash("wal.append.torn"):
             # Simulated power loss mid-write: an unchecksummable prefix of
             # the record reaches the disk and no newline terminates it.
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line[: max(1, len(line) // 2)])
+            handle.write(line[: max(1, len(line) // 2)])
             raise faultinject.InjectedCrash("wal.append.torn")
-        creating = self.sync and not os.path.exists(self.path)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
+        start = handle.tell()
+        try:
+            if handle.write(line) != len(line):
+                raise OSError(errno.EIO, "short write to the write-ahead log")
             if self.sync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        if creating:
-            _fsync_dir(self.directory)
+                os.fsync(handle.fileno())
+        except BaseException:
+            # the commit fails: cut off whatever part of the record was
+            # written, so recovery cannot replay it
+            self.close()
+            try:
+                os.truncate(self.path, start)
+            except OSError:
+                pass
+            raise
         if self.sync:
             obs = get_observability()
             if obs.enabled:
@@ -164,6 +179,21 @@ class WriteAheadLog:
         faultinject.crash_point("wal.append.full_write")
         self.last_lsn = lsn
         return lsn
+
+    def _append_handle(self):
+        """The open append handle, opening (or creating) the log first."""
+        if self._handle is None:
+            creating = not os.path.exists(self.path)
+            self._handle = open(self.path, "ab", buffering=0)
+            if creating and self.sync:
+                _fsync_dir(self.directory)
+        return self._handle
+
+    def close(self) -> None:
+        """Close the append handle; the next append reopens the log."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
     # -- replay --------------------------------------------------------------------
 
@@ -185,6 +215,7 @@ class WriteAheadLog:
         test cannot be confused by stream read-ahead: only the genuinely
         last non-blank record may be unreadable.
         """
+        self.close()
         self._torn_tail_offset = None
         self._positioned = True
         if not os.path.exists(self.path):
@@ -265,6 +296,7 @@ class WriteAheadLog:
         """
         if self._torn_tail_offset is None:
             return 0
+        self.close()
         removed = os.path.getsize(self.path) - self._torn_tail_offset
         with open(self.path, "r+b") as fh:
             fh.truncate(self._torn_tail_offset)
@@ -327,6 +359,7 @@ class WriteAheadLog:
         _fsync_dir(self.directory)
         faultinject.crash_point("wal.checkpoint.after_replace")
         # The checkpoint captures everything up to `watermark`; start fresh.
+        self.close()
         with open(self.path, "w", encoding="utf-8") as fh:
             if self.sync:
                 fh.flush()

@@ -135,7 +135,7 @@ class Condition:
     ``'S19990110150932'``.
     """
 
-    __slots__ = ("colid", "op", "value")
+    __slots__ = ("colid", "op", "value", "_column", "_expected", "_like")
 
     def __init__(self, colid: str, op: str, value: Any) -> None:
         op = op.lower()
@@ -144,11 +144,26 @@ class Condition:
         self.colid = colid.upper()
         self.op = op
         self.value = value
+        # Everything matches() needs that does not depend on the row is
+        # worked out here, once, not per rendered row.  A malformed colid
+        # still raises from matches(), where it always has.
+        try:
+            self._column: str | None = parse_colid(self.colid)[1]
+        except XuisError:
+            self._column = None
+        self._expected = _comparable(value)
+        self._like = None
+        if op == "like":
+            from repro.sqldb.expressions import like_matcher
+
+            self._like = like_matcher(str(value))
 
     def matches(self, row: dict[str, Any]) -> bool:
         """Evaluate against a row dict keyed by ``TABLE.COLUMN`` (and bare
         column names)."""
-        table, column = parse_colid(self.colid)
+        column = self._column
+        if column is None:
+            parse_colid(self.colid)  # raises XuisError
         if self.colid in row:
             actual = row[self.colid]
         elif column in row:
@@ -157,17 +172,14 @@ class Condition:
             return False
         if actual is None:
             return False
-        expected = self.value
         actual_cmp = _comparable(actual)
-        expected_cmp = _comparable(expected)
+        expected_cmp = self._expected
         if self.op == "eq":
             return actual_cmp == expected_cmp
         if self.op == "ne":
             return actual_cmp != expected_cmp
         if self.op == "like":
-            from repro.sqldb.expressions import Like
-
-            return bool(Like.compile_pattern(str(expected)).match(str(actual_cmp)))
+            return self._like(str(actual_cmp))
         try:
             if self.op == "lt":
                 return actual_cmp < expected_cmp
@@ -179,7 +191,7 @@ class Condition:
         except TypeError:
             raise XuisError(
                 f"condition on {self.colid}: cannot compare "
-                f"{type(actual).__name__} with {type(expected).__name__}"
+                f"{type(actual).__name__} with {type(self.value).__name__}"
             ) from None
 
     def __repr__(self) -> str:

@@ -439,3 +439,55 @@ class TestCustomisation:
         assert not variants["admin"].table("AUTHOR").hidden
         assert variants["admin"].title == "Admin view"
         assert not doc.table("AUTHOR").hidden
+
+
+class TestConditionWorkDoneOnce:
+    """A condition splits its colid and translates its LIKE pattern when it
+    is built; matching a rendered row does neither again."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from repro.sqldb import expressions
+        from repro.xuis import model
+
+        calls = {"parse_colid": 0, "compile_pattern": 0}
+        real_parse, real_compile = model.parse_colid, expressions.Like.compile_pattern
+
+        def parse(colid):
+            calls["parse_colid"] += 1
+            return real_parse(colid)
+
+        def compile_pattern(pattern):
+            calls["compile_pattern"] += 1
+            return real_compile(pattern)
+
+        monkeypatch.setattr(model, "parse_colid", parse)
+        monkeypatch.setattr(expressions.Like, "compile_pattern",
+                            staticmethod(compile_pattern))
+        expressions.like_matcher.cache_clear()
+        return calls
+
+    def test_eq(self, counted):
+        condition = Condition("T.S", "eq", "ab")
+        counted["parse_colid"] = 0
+        rows = [{"T.S": "ab  "}, {"S": "ab"}, {"T.S": "abc"}, {"T.S": None}]
+        assert [condition.matches(row) for row in rows] == [True, True, False, False]
+        assert counted["parse_colid"] == 0
+
+    def test_like(self, counted):
+        condition = Condition("T.S", "like", "a_c%")
+        built = counted["compile_pattern"]
+        rows = [{"T.S": "abc"}, {"T.S": "abcd  "}, {"T.S": "ac"}, {"T.S": 7}]
+        assert [condition.matches(row) for row in rows] == [True, True, False, False]
+        assert counted["compile_pattern"] == built == 1
+        assert Condition("T.N", "like", "1%").matches({"T.N": 12})
+
+    def test_missing_column(self, counted):
+        condition = Condition("T.X", "eq", 1)
+        assert not condition.matches({"T.N": 1})
+        assert not condition.matches({})
+
+    def test_bad_colid_still_raises_when_matched(self):
+        condition = Condition("NOTQUALIFIED", "eq", 1)
+        with pytest.raises(XuisError):
+            condition.matches({"NOTQUALIFIED": 1})
